@@ -21,7 +21,9 @@ Roots of unity are adjoined through cyclotomic polynomials rather than
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import lcm, prod
+import operator
 
 from .rationals import Q, as_rational, is_rational, rational_text
 
@@ -103,12 +105,13 @@ def _freeze_terms(terms: dict) -> tuple:
 class ExtensionTower:
     """Immutable ordered sequence of monic generators over Q."""
 
-    __slots__ = ("generators", "_degrees", "_rewrites", "_key")
+    __slots__ = ("generators", "_degrees", "_rewrites", "_integer", "_key")
 
     def __init__(self, generators=()):
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "_degrees", tuple(g.degree for g in self.generators))
         object.__setattr__(self, "_rewrites", None)
+        object.__setattr__(self, "_integer", None)
         object.__setattr__(self, "_key", tuple(g.key() for g in self.generators))
 
     # -- construction ------------------------------------------------------
@@ -255,6 +258,15 @@ class ExtensionTower:
                         work.append((ne_t, nc))
         return {e: c for e, c in out.items() if c != 0}
 
+    def integer_structure(self) -> "IntegerStructure":
+        """Integer arithmetic on this tower, built once per tower instance."""
+        structure = self._integer
+        if structure is None:
+            kind = IntegerStructure if self.generators else _RationalStructure
+            structure = kind(self)
+            object.__setattr__(self, "_integer", structure)
+        return structure
+
     # -- numeric embedding ---------------------------------------------------
 
     def complex_roots(self, rng=None) -> tuple:
@@ -288,11 +300,142 @@ class ExtensionTower:
         return tuple(roots)
 
 
+def _denominator_bound(tower: ExtensionTower) -> int:
+    """A common denominator L for every product of two basis monomials.
+
+    Built generator by generator.  Let g have degree d, let D be the least
+    common denominator of its defining coefficients and L' the bound of the
+    prefix tower.  A basis product is (P1 * P2) * g^m with prefix monomials
+    P1, P2 and m <= 2d - 2, and reducing g^m takes at most d - 1 rewrites.
+    With rational coefficients the rewrites multiply rationals only, so
+    L = L' * D^(d-1).  With coefficients over the prefix, every rewrite
+    after the first multiplies two prefix elements (a factor L' each), and
+    so do P1 * P2 and the final product, so L = L'^d * D^(d-1).  Table rows
+    check that their denominators divide L.
+    """
+    bound = 1
+    for g in tower.generators:
+        terms = [t for frozen in g.lower_coeffs for t in frozen]
+        den = lcm(*(int(c.denominator) for _, c in terms))
+        if any(any(e) for e, _ in terms):
+            bound = bound ** g.degree * den ** (g.degree - 1)
+        else:
+            bound = bound * den ** (g.degree - 1)
+    return bound
+
+
+class IntegerStructure:
+    """Exact integer arithmetic on one tower, for expansion kernels.
+
+    An element is carried as integers over a denominator the caller keeps:
+    a dense list of ``size`` ints, one per basis monomial (exponents below
+    the degrees, mixed-radix index with the first generator fastest, so
+    index 0 is 1).  Basis products come from an integer structure table
+
+        b_i * b_j = (1/L) * sum_k T_ijk * b_k
+
+    with integer T and one common denominator L for the tower (1 for
+    cyclotomic towers), so ``mul(x, y)`` returns L*x*y and a product of r
+    factors carries L^(r-1).  Table rows are filled lazily, only for the
+    pairs that occur.
+    """
+
+    def __init__(self, tower: ExtensionTower):
+        degs = tower.degrees
+        self.tower = tower
+        self.size = prod(degs)
+        self.denominator = _denominator_bound(tower)
+        strides, step = [], 1
+        for d in degs:
+            strides.append(step)
+            step *= d
+        self._strides = tuple(strides)
+        self._basis = [
+            tuple((i // s) % d for s, d in zip(strides, degs)) for i in range(self.size)
+        ]
+        self._rows = [None] * (self.size * self.size)
+        self.zero = [0] * self.size
+        self.one = [1] + [0] * (self.size - 1)
+
+    def _index(self, exps) -> int:
+        return sum(e * s for e, s in zip(exps, self._strides))
+
+    def clear(self, elements):
+        """Clear denominators: (values, D) with element_i == values_i / D and
+        D the least common denominator of all coefficients."""
+        den = lcm(*(int(c.denominator) for el in elements for c in el.terms.values()))
+        values = []
+        for el in elements:
+            v = [0] * self.size
+            for e, c in el.terms.items():
+                v[self._index(e)] = int(c.numerator) * (den // int(c.denominator))
+            values.append(v)
+        return values, den
+
+    def _row(self, i: int, j: int) -> tuple:
+        n, big = self.size, self.denominator
+        e = tuple(a + b for a, b in zip(self._basis[i], self._basis[j]))
+        if all(a < d for a, d in zip(e, self.tower.degrees)):
+            row = ((self._index(e), big),)
+        else:
+            row = []
+            for f, c in self.tower.normalize({e: Q(1)}).items():
+                num, den = int(c.numerator), int(c.denominator)
+                if big % den:
+                    raise ArithmeticError("structure constant outside the denominator bound")
+                row.append((self._index(f), num * (big // den)))
+            row = tuple(row)
+        self._rows[i * n + j] = self._rows[j * n + i] = row
+        return row
+
+    def mul(self, x, y):
+        n, rows = self.size, self._rows
+        out = [0] * n
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                base = i * n
+                for j, b in ys:
+                    row = rows[base + j]
+                    if row is None:
+                        row = self._row(i, j)
+                    ab = a * b
+                    for k, t in row:
+                        out[k] += ab * t
+        return out
+
+    @staticmethod
+    def add(x, y):
+        return [a + b for a, b in zip(x, y)]
+
+    @staticmethod
+    def scale(x, c: int):
+        return [c * a for a in x]
+
+    def product(self, factors):
+        return reduce(self.mul, factors)
+
+
+class _RationalStructure(IntegerStructure):
+    """The empty tower: elements are plain ints and L = 1."""
+
+    def __init__(self, tower: ExtensionTower):
+        self.tower = tower
+        self.size = self.denominator = self.one = 1
+        self.zero = 0
+        self._strides = ()
+
+    def clear(self, elements):
+        values, den = super().clear(elements)
+        return [v[0] for v in values], den
+
+    mul = staticmethod(operator.mul)
+    add = staticmethod(operator.add)
+    scale = staticmethod(operator.mul)
+    product = staticmethod(prod)
+
+
 EMPTY_TOWER = ExtensionTower()
-
-
-def tower_extend(tower: ExtensionTower, name: str, defining_poly) -> ExtensionTower:
-    return tower.extend(name, defining_poly)
 
 
 def roots_of_unity_tower(ms) -> ExtensionTower:
@@ -467,19 +610,3 @@ class RingElement:
                     t *= roots[i] ** e[i]
             total += t
         return total
-
-
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
-def ring_neg(a: RingElement) -> RingElement:
-    return -a
-
-
-def ring_eq(a: RingElement, b: RingElement) -> bool:
-    return a == b

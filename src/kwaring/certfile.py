@@ -35,19 +35,20 @@ from __future__ import annotations
 
 import re
 
-from .algebra import EMPTY_TOWER, ExtensionTower, RingElement
+from .algebra import EMPTY_TOWER, ExtensionTower, RingElement, TowerError
 from .decomp import Certificate
 from .polynomials import Monomial, Polynomial
-from .rationals import parse_rational
+from .rationals import RATIONAL_PATTERN, parse_rational, rational_text
 
 FORMAT_VERSION = 1
 _HEADER = f"kwaring certificate v{FORMAT_VERSION}"
 
 _TERM_RE = re.compile(
-    r"^\((-?\d+(?:/\d+)?)\)((?:\*[A-Za-z_][A-Za-z0-9_]*\^\d+)*)$"
+    r"\((" + RATIONAL_PATTERN + r")\)((?:\*[A-Za-z_][A-Za-z0-9_]*\^(?:0|[1-9][0-9]*))*)"
 )
-_FACTOR_RE = re.compile(r"\*([A-Za-z_][A-Za-z0-9_]*)\^(\d+)")
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_FACTOR_RE = re.compile(r"\*([A-Za-z_][A-Za-z0-9_]*)\^([0-9]+)")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class CertificateParseError(ValueError):
@@ -61,10 +62,12 @@ def _parse_ring_element(tower: ExtensionTower, text: str) -> RingElement:
     names = tower.names
     terms = {}
     for chunk in text.split(" + "):
-        m = _TERM_RE.match(chunk)
+        m = _TERM_RE.fullmatch(chunk)
         if not m:
             raise CertificateParseError(f"bad ring element term: {chunk!r}")
         coeff = parse_rational(m.group(1))
+        if rational_text(coeff) != m.group(1):
+            raise CertificateParseError(f"non-canonical coefficient: {chunk!r}")
         factors = _FACTOR_RE.findall(m.group(2))
         if tuple(f[0] for f in factors) != names:
             raise CertificateParseError(
@@ -102,13 +105,9 @@ class _Lines:
 
 
 def _int_field(raw: str, minimum: int, label: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CertificateParseError(f"bad {label}: {raw!r}") from None
-    if value < minimum:
+    if not _INT_RE.fullmatch(raw) or int(raw) < minimum:
         raise CertificateParseError(f"bad {label}: {raw!r}")
-    return value
+    return int(raw)
 
 
 def serialize(cert: Certificate) -> str:
@@ -145,7 +144,7 @@ def parse(text: str) -> Certificate:
     if src.next() != _HEADER:
         raise CertificateParseError("missing or unsupported header")
     variables = tuple(src.expect("variables: ").split(" "))
-    if not variables or any(not _NAME_RE.match(v) for v in variables):
+    if not variables or any(not _NAME_RE.fullmatch(v) for v in variables):
         raise CertificateParseError("bad variable list")
     nv = len(variables)
     k = _int_field(src.expect("k: "), 1, "k")
@@ -158,7 +157,7 @@ def parse(text: str) -> Certificate:
     tower = EMPTY_TOWER
     for _ in range(ngens):
         head = src.expect("generator: ").split(" ")
-        if len(head) != 2 or not _NAME_RE.match(head[0]):
+        if len(head) != 2 or not _NAME_RE.fullmatch(head[0]):
             raise CertificateParseError("bad generator line")
         name = head[0]
         degree = _int_field(head[1], 2, "generator degree")
@@ -166,7 +165,10 @@ def parse(text: str) -> Certificate:
             _parse_ring_element(tower, src.expect("coeff: ")) for _ in range(degree)
         ]
         defining = tuple(lower) + (tower.one(),)
-        tower = tower.extend(name, defining)
+        try:
+            tower = tower.extend(name, defining)
+        except TowerError as exc:
+            raise CertificateParseError(f"bad generator {name!r}: {exc}") from None
 
     nsummands = _int_field(src.expect("summands: "), 0, "summand count")
     summands = []

@@ -6,8 +6,9 @@ A certificate records a claimed identity
 
 with M a monomial of degree k*d, the G_j homogeneous degree-d forms and the
 c_j scalars, everything over one extension tower.  ``verify`` re-expands the
-right side with exact arithmetic and compares; no construction in this module
-returns an unverified certificate.
+right side in exact Python integers, never floating point: denominators are
+cleared once and tower elements become integer vectors (plain ints over Q).
+No construction in this module returns an unverified certificate.
 
 The constructions:
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .algebra import EMPTY_TOWER, roots_of_unity_tower, unity_root
 from .polynomials import Monomial, Polynomial
@@ -104,6 +105,14 @@ def verify(cert: Certificate) -> bool:
     Malformed certificates (non-homogeneous or wrong-degree forms, mixed
     towers, arity mismatches) raise; a well-formed certificate whose
     expansion differs from the target returns False.
+
+    The expansion runs in Python ints.  Each summand's form and scalar are
+    cleared to integer vectors over their least common denominators D and
+    D_s, and G^k is expanded multinomially over the tower's integer
+    structure table (common denominator L), so every contribution of the
+    summand carries the one denominator L^k * D^k * D_s and no gcd is taken.
+    Summands are brought to a common denominator and the sum is compared
+    with the target scaled by it.
     """
     k = cert.k
     if k < 1:
@@ -114,7 +123,8 @@ def verify(cert: Certificate) -> bool:
     if cert.target.degree % k != 0:
         raise MalformedCertificateError("k does not divide the target degree")
     d = cert.target.degree // k
-    total = Polynomial.zero(cert.tower, nv)
+    ring = cert.tower.integer_structure()
+    parts = []
     for scalar, form in cert.summands:
         if not isinstance(form, Polynomial) or form.tower != cert.tower:
             raise MalformedCertificateError("form is not over the certificate tower")
@@ -125,10 +135,73 @@ def verify(cert: Certificate) -> bool:
                 f"forms must be nonzero homogeneous of degree {d}"
             )
         sc = cert.tower._coerce(scalar)
-        total = total + (form ** k) * sc
-    ok = total == cert.target.to_polynomial(cert.tower)
+        support = tuple(sorted(form.terms))
+        coeffs, den = ring.clear([form.terms[e] for e in support])
+        (s,), den_s = ring.clear([sc])
+        parts.append((support, coeffs, s, (ring.denominator * den) ** k * den_s))
+    common = lcm(*(part[3] for part in parts))
+    plans: dict = {}
+    total: dict = {}
+    for support, coeffs, s, den in parts:
+        plan = plans.get(support)
+        if plan is None:
+            plan = plans[support] = _expansion_plan(support, k)
+        monomials, leaves = plan
+        s = ring.scale(s, common // den)
+        for mono, v in zip(monomials, _expand(ring, leaves, len(monomials), coeffs, k)):
+            v = ring.mul(s, v)
+            prev = total.get(mono)
+            total[mono] = v if prev is None else ring.add(prev, v)
+    lead = total.pop(cert.target.exponents, ring.zero)
+    ok = lead == ring.scale(ring.one, common) and all(v == ring.zero for v in total.values())
     cert.verified = ok
     return ok
+
+
+def _assignments(n: int, parts: int):
+    """Every tuple of `parts` non-negative ints summing to n."""
+    if parts == 1:
+        yield (n,)
+        return
+    for b in range(n, -1, -1):
+        for rest in _assignments(n - b, parts - 1):
+            yield (b,) + rest
+
+
+def _expansion_plan(support: tuple, k: int):
+    """The multinomial expansion of (sum_t c_t x^(e_t))^k for one support.
+
+    Returns the distinct output monomials and one leaf per exponent
+    assignment (b_t): the indices of the powers c_t^(b_t) in the flat table
+    built by ``_expand``, the output monomial's index and the multinomial
+    coefficient k! / prod b_t!.  Summands with the same support share it.
+    """
+    nv = len(support[0])
+    monomials: dict = {}
+    leaves = []
+    for bs in _assignments(k, len(support)):
+        mono = tuple(sum(b * e[v] for b, e in zip(bs, support)) for v in range(nv))
+        out = monomials.setdefault(mono, len(monomials))
+        factors = tuple(t * (k + 1) + b for t, b in enumerate(bs) if b)
+        leaves.append((factors, out, _multinomial(k, bs)))
+    return tuple(monomials), leaves
+
+
+def _expand(ring, leaves, nout: int, coeffs, k: int) -> list:
+    """Per output monomial, the sum of its leaves' multinomial * prod c_t^(b_t).
+
+    Every leaf multiplies k unit factors, so all sums carry L^(k-1)."""
+    mul, add, scale, product = ring.mul, ring.add, ring.scale, ring.product
+    powers = []
+    for c in coeffs:
+        row = [None, c]
+        for _ in range(k - 1):
+            row.append(mul(row[-1], c))
+        powers.extend(row)
+    sums = [ring.zero] * nout
+    for factors, out, multi in leaves:
+        sums[out] = add(sums[out], scale(product([powers[i] for i in factors]), multi))
+    return sums
 
 
 def _must_verify(cert: Certificate) -> Certificate:

@@ -10,7 +10,6 @@ exponent tuple, x0-major).  Exponentiation uses binary powering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .algebra import ExtensionTower, RingElement, TowerError
 from .rationals import Q, as_rational, is_rational
@@ -193,61 +192,19 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        """Multinomial expansion over the term list.
-
-        Enumerates exponent assignments (b_1..b_T) with sum n once each, so
-        a power of a T-term polynomial costs O(C(n+T-1, T-1)) leaf terms
-        instead of the pair products of repeated squaring.
-        """
         if n < 0:
             raise ValueError("negative power")
         if n == 0:
             return Polynomial.constant(self.tower, self.nvars, 1)
-        if n == 1:
-            return self
-        items = list(self.terms.items())
-        if not items:
-            return Polynomial.zero(self.tower, self.nvars)
-        tower = self.tower
-        coeff_pows = []
-        for _, c in items:
-            row = [tower.one(), c]
-            for _ in range(2, n + 1):
-                row.append(row[-1] * c)
-            coeff_pows.append(row)
-        acc: dict = {}
-        last = len(items) - 1
-
-        def emit(exps, coeff_el, multi):
-            bucket = acc.get(exps)
-            if bucket is None:
-                bucket = acc[exps] = {}
-            for f, a in coeff_el.terms.items():
-                prev = bucket.get(f)
-                na = a * multi
-                bucket[f] = na if prev is None else prev + na
-
-        def rec(idx, remaining, exps, coeff_el, multi):
-            exp_j = items[idx][0]
-            if idx == last:
-                b = remaining
-                if b:
-                    exps = tuple(x + b * y for x, y in zip(exps, exp_j))
-                    coeff_el = coeff_el * coeff_pows[idx][b]
-                emit(exps, coeff_el, multi)
-                return
-            for b in range(remaining + 1):
-                ne = tuple(x + b * y for x, y in zip(exps, exp_j)) if b else exps
-                nc = coeff_el * coeff_pows[idx][b] if b else coeff_el
-                rec(idx + 1, remaining - b, ne, nc, comb(remaining, b) * multi)
-
-        rec(0, n, (0,) * self.nvars, tower.one(), 1)
-        out: dict = {}
-        for e, bucket in acc.items():
-            reduced = tower.normalize(bucket)
-            if reduced:
-                out[e] = RingElement(tower, reduced)
-        return Polynomial(tower, self.nvars, out)
+        result = None
+        base = self
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -368,23 +325,3 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.text()})"
-
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def poly_pow(p: Polynomial, n: int) -> Polynomial:
-    return p ** n
-
-
-def substitute(p: Polynomial, images: dict) -> Polynomial:
-    return p.substitute(images)
-
-
-def specialize(p: Polynomial, identifications: dict) -> Polynomial:
-    return p.specialize(identifications)

@@ -1,9 +1,9 @@
 """Exact rational scalars.
 
-gmpy2's mpq is used when available (markedly faster on the dense expansion
-paths); the stdlib Fraction is a drop-in fallback.  Both share the
-numerator/denominator API, reduce automatically, and print as ``n`` or
-``n/d``, which is the text form the serializers rely on.
+gmpy2's mpq is used when it is installed (the optional ``fast`` extra);
+the stdlib Fraction is the fallback.  Both share the numerator/denominator
+API, reduce automatically, and print as ``n`` or ``n/d``, which is the text
+form the serializers rely on.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ import re
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional
     Q = Fraction
 
 _QTYPE = type(Q(0))
-_RAT_RE = re.compile(r"-?\d+(?:/[1-9]\d*)?")
+# ASCII digits, no "+", no leading zeros and no "-0"
+RATIONAL_PATTERN = r"(?:0|-?[1-9][0-9]*)(?:/[1-9][0-9]*)?"
+_RAT_RE = re.compile(RATIONAL_PATTERN)
 
 
 def is_rational(x) -> bool:

@@ -1,6 +1,9 @@
 """Certificate file round trips and strictness of the canonical parser."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kwaring.certfile import (
     CertificateParseError,
@@ -138,3 +141,58 @@ def test_provenance_and_flags_survive():
     back = parse(serialize(cert))
     assert back.provenance == cert.provenance
     assert len(back.provenance) >= 1
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("k: 3\n", "k: +3\n"),
+        ("k: 3\n", "k: 0_3\n"),
+        ("k: 3\n", "k: ٣\n"),  # a non-ASCII digit
+        ("scalar: (1)*u^0*v^0", "scalar: (01)*u^0*v^0"),
+        ("scalar: (1)*u^0*v^0", "scalar: (1/1)*u^0*v^0"),
+        ("scalar: (1)*u^0*v^0", "scalar: (2/2)*u^0*v^0"),
+        ("scalar: (1)*u^0*v^0", "scalar: (1)*u^00*v^0"),
+        ("coeff: (-1/6)", "coeff: (-2/12)"),
+        ("term: 2 0 0 ::", "term: 02 0 0 ::"),
+        ("generator: v 3", "generator: u 3"),  # duplicate generator name
+    ],
+)
+def test_noncanonical_text_rejected(old, new):
+    text = serialize(special_x04x1x2())
+    assert old in text
+    with pytest.raises(CertificateParseError):
+        parse(text.replace(old, new, 1))
+
+
+_PIECES = list("0123456789+-_/()*^: \n") + ["٣", "u", "x0", "(1/1)", "(01)", "\r", "end\n"]
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_texts():
+    return tuple(serialize(cert) for cert in sample_certs())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    which=st.integers(0, len(sample_certs()) - 1),
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(("insert", "delete", "replace")),
+                  st.sampled_from(_PIECES)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_every_accepted_text_is_canonical(which, edits):
+    """Mutation property: any text the parser accepts serializes back to
+    itself, up to the blank lines tolerated after ``end``."""
+    text = _canonical_texts()[which]
+    for pos, op, piece in edits:
+        pos %= len(text) + 1
+        cut = 0 if op == "insert" else len(piece)
+        text = text[:pos] + ("" if op == "delete" else piece) + text[pos + cut:]
+    try:
+        cert = parse(text)
+    except CertificateParseError:
+        return
+    assert serialize(cert) == text.rstrip("\n") + "\n"
