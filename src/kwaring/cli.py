@@ -13,6 +13,7 @@ Floats print as %.6e, rationals exactly; all output is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -101,17 +102,25 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+def _default_seed() -> int:
+    try:
+        return int(os.environ.get("WARING_SEED", "0"))
+    except ValueError:
+        return 0
+
+
 def _cmd_search(args) -> int:
+    seed = _default_seed() if args.seed is None else args.seed
     monomial = parse_monomial(args.monomial)
     problem = SearchProblem(monomial, args.k, args.s)
     result = run_search(problem, restarts=args.restarts, tolerance=args.tol,
-                        seed=args.seed)
+                        seed=seed)
     print(f"target: {monomial.text()}")
     print(f"k: {args.k}")
     print(f"summands: {args.s}")
     print(f"restarts: {args.restarts}")
     print(f"tolerance: {args.tol:.6e}")
-    print(f"seed: {args.seed}")
+    print(f"seed: {seed}")
     print(f"best residual: {result.best_residual:.6e}")
     print(f"restarts used: {result.restarts_used}")
     print(f"converged: {'true' if result.converged else 'false'}")
@@ -158,11 +167,9 @@ def _cmd_table(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    try:
-        default_seed = int(os.environ.get("WARING_SEED", "0"))
-    except ValueError:
-        default_seed = 0
+    """The parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="kwaring",
         description="Exact bounds, verified certificates and numeric search "
@@ -190,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", type=int, required=True)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("monomial")
     p.set_defaults(func=_cmd_search)
 

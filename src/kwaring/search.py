@@ -17,6 +17,15 @@ whose real/imaginary parts are the partial derivatives up to the standard
 factor.  Because the residual is holomorphic in the parameters, complex
 normal equations coincide with real ones on interleaved (re, im) pairs.
 
+Powers are evaluated from index tables that each problem builds on first
+use and keeps.  For p in {k, k-1} the table lists every p-multiset of
+form-basis positions, its multinomial weight and the position of its product
+monomial in the degree-pd basis.  The residual is then a gather of the
+s x B coefficient matrix, a product along each multiset, the weights, a sum
+over summands and one scatter-add; the Jacobian builds each G_j^{k-1} the
+same way and places k * G_j^{k-1} through a shift table mapping basis
+monomial b and degree-(k-1)d position i to the position of their product.
+
 Minimizer policy (all deterministic):
   * steps solve the augmented least-squares system min |[J; sqrt(l) I] d +
     [r; 0]| rather than the normal equations, keeping the conditioning at
@@ -30,7 +39,10 @@ Minimizer policy (all deterministic):
     flat valleys around scale-degenerate solutions converge in tens rather
     than thousands of iterations;
   * a restart stops after 500 iterations, or when the residual norm improves
-    by less than 1e-14 over 25 consecutive iterations.
+    by less than 1e-14 over 25 consecutive iterations;
+  * each restart leaves a RestartRecord: accepted steps, stop reason
+    (converged, stalled, max_iter or no_step), final residual norm and final
+    damping.
 
 Convergence means the Euclidean NORM of the mismatch vector (sqrt of E)
 fell below the tolerance.  The norm is the reported best_residual.  This is
@@ -52,7 +64,9 @@ exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
+from math import factorial, prod
 
 import numpy as np
 
@@ -97,31 +111,35 @@ class SearchProblem:
     def nparams(self) -> int:
         return self.s * len(self.form_basis)
 
+    @cached_property
+    def _power_table(self):
+        """Multiset table of G^k over the degree-kd basis."""
+        return _multiset_table(self.form_basis, self.k, self.out_index)
 
-def _form_power(problem: SearchProblem, coeffs, power: int):
-    """Dense coefficient vector of (sum_b coeffs[b] * x^basis[b])^power."""
-    nv = problem.nvars
-    current = {(0,) * nv: 1.0 + 0.0j}
-    base = {e: c for e, c in zip(problem.form_basis, coeffs) if c != 0.0}
-    n = power
-    sq = base
-    while n:
-        if n & 1:
-            nxt: dict = {}
-            for e1, c1 in current.items():
-                for e2, c2 in sq.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    nxt[e] = nxt.get(e, 0.0) + c1 * c2
-            current = nxt
-        n >>= 1
-        if n:
-            nxt = {}
-            for e1, c1 in sq.items():
-                for e2, c2 in sq.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    nxt[e] = nxt.get(e, 0.0) + c1 * c2
-            sq = nxt
-    return current
+    @cached_property
+    def _jacobian_table(self):
+        """Multiset table of G^(k-1) over the degree-(k-1)d basis, and the shift
+        table: shift[b, i] is the degree-kd index of x^form_basis[b] times the
+        i-th degree-(k-1)d monomial."""
+        lower = _degree_basis(self.nvars, (self.k - 1) * self.d)
+        table = _multiset_table(self.form_basis, self.k - 1,
+                                {e: i for i, e in enumerate(lower)})
+        shifted = np.asarray(self.form_basis)[:, None, :] + np.asarray(lower)[None, :, :]
+        shift = np.array([[self.out_index[e] for e in map(tuple, row)]
+                          for row in shifted.tolist()], dtype=np.intp)
+        return table, shift
+
+
+def _multiset_table(basis, power: int, index):
+    """Every power-multiset of basis positions, as (positions (M, power),
+    multinomial weights (M,), index of the product monomial in ``index``)."""
+    positions = np.array(list(combinations_with_replacement(range(len(basis)), power)),
+                         dtype=np.intp)
+    exponents = np.asarray(basis)[positions].sum(axis=1)
+    targets = np.array([index[e] for e in map(tuple, exponents.tolist())], dtype=np.intp)
+    weights = np.array([factorial(power) // prod(factorial(row.count(b)) for b in set(row))
+                        for row in positions.tolist()], dtype=float)
+    return positions, weights, targets
 
 
 def residual_vector(problem: SearchProblem, params):
@@ -129,12 +147,10 @@ def residual_vector(problem: SearchProblem, params):
     params = np.asarray(params, dtype=complex)
     if params.shape != (problem.nparams,):
         raise ValueError("parameter vector has wrong length")
-    B = len(problem.form_basis)
-    out = -problem.target_vec.copy()
-    for j in range(problem.s):
-        expanded = _form_power(problem, params[j * B : (j + 1) * B], problem.k)
-        for e, c in expanded.items():
-            out[problem.out_index[e]] += c
+    positions, weights, targets = problem._power_table
+    coeffs = params.reshape(problem.s, -1)
+    out = -problem.target_vec
+    np.add.at(out, targets, (coeffs[:, positions].prod(axis=-1) * weights).sum(axis=0))
     return out
 
 
@@ -147,15 +163,14 @@ def _jacobian(problem: SearchProblem, params):
     """J[i, j*B+b] = d residual_i / d params[j*B+b] = k * coeff of G_j^{k-1}
     shifted by basis monomial b."""
     params = np.asarray(params, dtype=complex)
-    B = len(problem.form_basis)
+    (positions, weights, targets), shift = problem._jacobian_table
+    s, B = problem.s, len(problem.form_basis)
+    coeffs = params.reshape(s, B)
+    lower = np.zeros((s, shift.shape[1]), dtype=complex)
+    np.add.at(lower, (slice(None), targets), coeffs[:, positions].prod(axis=-1) * weights)
     J = np.zeros((len(problem.out_basis), problem.nparams), dtype=complex)
-    for j in range(problem.s):
-        power = _form_power(problem, params[j * B : (j + 1) * B], problem.k - 1)
-        for b, mu in enumerate(problem.form_basis):
-            col = j * B + b
-            for e, c in power.items():
-                shifted = tuple(a + m for a, m in zip(e, mu))
-                J[problem.out_index[shifted], col] += problem.k * c
+    # Multiplying by x^b is injective, so no two entries of a column collide.
+    J[shift[None], np.arange(problem.nparams).reshape(s, B, 1)] = problem.k * lower[:, None, :]
     return J
 
 
@@ -171,16 +186,26 @@ def gradient(problem: SearchProblem, params):
 
 
 @dataclass(frozen=True)
+class RestartRecord:
+    """How one restart of the minimizer ended."""
+    iterations: int  # accepted steps
+    stop: str  # converged, stalled, max_iter or no_step
+    residual: float  # final residual norm
+    damping: float  # final damping lambda
+
+
+@dataclass(frozen=True)
 class SearchResult:
     best_residual: float  # Euclidean norm of the best mismatch vector
     best_params: np.ndarray
     converged: bool
     restarts_used: int
+    restarts: tuple = ()  # one RestartRecord per restart run
 
 
 def _lm_minimize(problem: SearchProblem, start, tolerance: float,
                  max_iter: int = 500, stall_iters: int = 25):
-    """One damped least-squares descent; returns (params, residual norm)."""
+    """One damped least-squares descent; returns (params, RestartRecord)."""
     params = np.asarray(start, dtype=complex).copy()
     r = residual_vector(problem, params)
     err = float(np.real(np.vdot(r, r)))
@@ -191,6 +216,8 @@ def _lm_minimize(problem: SearchProblem, start, tolerance: float,
     zero_tail = np.zeros(n, dtype=complex)
     best_recent = norm
     since_improved = 0
+    iterations = 0
+    stop = "max_iter"
     for _ in range(max_iter):
         if norm < tolerance:
             break
@@ -224,15 +251,20 @@ def _lm_minimize(problem: SearchProblem, start, tolerance: float,
             lam *= nu
             nu *= 2.0
         if not stepped:
+            stop = "no_step"
             break
+        iterations += 1
         if best_recent - norm > 1e-14:
             best_recent = norm
             since_improved = 0
         else:
             since_improved += 1
             if since_improved >= stall_iters:
+                stop = "stalled"
                 break
-    return params, norm
+    if norm < tolerance:
+        stop = "converged"
+    return params, RestartRecord(iterations, stop, norm, lam)
 
 
 def search(problem: SearchProblem, restarts: int = 50, tolerance: float = 1e-10,
@@ -244,17 +276,17 @@ def search(problem: SearchProblem, restarts: int = 50, tolerance: float = 1e-10,
         raise ValueError("tolerance must be positive")
     best_norm = float("inf")
     best_params = np.zeros(problem.nparams, dtype=complex)
-    used = 0
+    records = []
     scale = 1.0 / (1.0 + problem.d)
     for ridx in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, ridx]))
         re = rng.uniform(-1.0, 1.0, problem.nparams)
         im = rng.uniform(-1.0, 1.0, problem.nparams)
         start = (re + 1j * im) * scale
-        params, norm = _lm_minimize(problem, start, tolerance)
-        used = ridx + 1
-        if norm < best_norm:
-            best_norm = norm
+        params, record = _lm_minimize(problem, start, tolerance)
+        records.append(record)
+        if record.residual < best_norm:
+            best_norm = record.residual
             best_params = params
         if best_norm < tolerance:
             break
@@ -262,7 +294,8 @@ def search(problem: SearchProblem, restarts: int = 50, tolerance: float = 1e-10,
         best_residual=best_norm,
         best_params=best_params,
         converged=best_norm < tolerance,
-        restarts_used=used,
+        restarts_used=len(records),
+        restarts=tuple(records),
     )
 
 

@@ -112,6 +112,24 @@ def test_search_seed_env_override():
     assert by_flag.stdout == by_env.stdout
 
 
+def test_in_process_calls_read_seed_env_each_time(monkeypatch, capsys):
+    argv = ["search", "-k", "2", "-s", "2", "--restarts", "1", "1,1"]
+    outs = []
+    for seed in ("3", "8", "8"):
+        monkeypatch.setenv("WARING_SEED", seed)
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert "seed: 3\n" in outs[0] and "seed: 8\n" in outs[1]
+    assert outs[1] == outs[2]
+    assert main(argv + ["--seed", "5"]) == 0
+    assert "seed: 5\n" in capsys.readouterr().out
+    rank = ["rank", "-k", "3", "x0^4 x1 x2"]
+    assert main(rank) == 0
+    first = capsys.readouterr().out
+    assert main(rank) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_classes_output(capsys):
     assert main(["classes", "-n", "2", "-k", "3"]) == 0
     out = capsys.readouterr().out

@@ -16,6 +16,7 @@ from kwaring.search import (
     params_from_certificate,
     probe_open_case,
     residual,
+    _jacobian,
     residual_vector,
     search,
 )
@@ -138,3 +139,95 @@ def test_probe_open_case_reports_full_range():
     assert report["bounds"] == (3, 3)
     assert [s for s, _ in report["results"]] == [3]
     assert report["results"][0][1].converged
+
+
+def _random_problem(rng):
+    nv = int(rng.integers(1, 5))
+    d = int(rng.integers(1, 4))
+    k = int(rng.integers(2, 6))
+    s = int(rng.integers(1, 4))
+    exps = [0] * nv
+    for _ in range(d * k):
+        exps[int(rng.integers(nv))] += 1
+    problem = SearchProblem(Monomial(tuple(exps)), k, s)
+    params = (rng.uniform(-1, 1, problem.nparams)
+              + 1j * rng.uniform(-1, 1, problem.nparams)) / (1 + d)
+    return problem, params
+
+
+def _monomials_at(basis, x):
+    return np.prod(x ** np.array(basis), axis=1)
+
+
+def test_residual_vector_matches_pointwise_evaluation():
+    # sum_i r_i x^out_basis[i] must equal sum_j G_j(x)^k - M(x) at any point x
+    rng = np.random.default_rng(31337)
+    for trial in range(40):
+        problem, params = _random_problem(rng)
+        r = residual_vector(problem, params)
+        coeffs = params.reshape(problem.s, -1)
+        for _ in range(3):
+            x = rng.uniform(0.5, 1.0, problem.nvars) * np.exp(
+                2j * np.pi * rng.uniform(size=problem.nvars))
+            forms = coeffs @ _monomials_at(problem.form_basis, x)
+            direct = np.sum(forms ** problem.k) - np.prod(
+                x ** np.array(problem.target.exponents))
+            terms = r * _monomials_at(problem.out_basis, x)
+            assert abs(np.sum(terms) - direct) <= 1e-12 * (1.0 + np.sum(np.abs(terms))), trial
+
+
+def test_jacobian_matches_central_differences():
+    # the residual is holomorphic in the parameters, so a real step suffices
+    rng = np.random.default_rng(4242)
+    h = 1e-5
+    for trial in range(25):
+        problem, params = _random_problem(rng)
+        J = _jacobian(problem, params)
+        fd = np.empty_like(J)
+        for i in range(problem.nparams):
+            step = np.zeros(problem.nparams)
+            step[i] = h
+            fd[:, i] = (residual_vector(problem, params + step)
+                        - residual_vector(problem, params - step)) / (2 * h)
+        assert np.max(np.abs(fd - J)) <= 1e-6 * max(1.0, np.max(np.abs(J))), trial
+
+
+def test_restart_records_match_verdict():
+    for exps, k, s, restarts in (((1, 1), 2, 2, 10), ((1, 2), 3, 2, 2),
+                                 ((2, 2), 4, 2, 2)):
+        result = search(SearchProblem(Monomial(exps), k, s), restarts=restarts, seed=0)
+        stops = [record.stop for record in result.restarts]
+        assert len(stops) == result.restarts_used
+        assert set(stops) <= {"converged", "stalled", "max_iter", "no_step"}
+        if result.converged:
+            assert stops[-1] == "converged" and "converged" not in stops[:-1]
+        else:
+            assert "converged" not in stops
+        assert result.best_residual == min(r.residual for r in result.restarts)
+        assert all(0 <= r.iterations <= 500 and r.damping > 0 for r in result.restarts)
+
+
+# Verdicts at restarts=1, seed=0: every problem with 2-3 variables, d = 1..2,
+# k = 2..4, s in [max(1, lower-1), upper] and at most 9 parameters, plus the
+# criterion-10 problems ((1, 2), k=3, s=2 and (2, 2), k=4, s=3 are in the grid).
+CONVERGES = [
+    ((1, 1), 2, 2), ((1, 2), 3, 3), ((2, 1), 3, 3), ((1, 3), 4, 4), ((2, 2), 4, 3),
+    ((3, 1), 4, 4), ((1, 3), 2, 2), ((3, 1), 2, 2), ((1, 5), 3, 3), ((2, 4), 3, 3),
+    ((3, 3), 3, 1), ((4, 2), 3, 3), ((5, 1), 3, 3), ((4, 4), 4, 1),
+]
+FAILS = [
+    ((1, 1), 2, 1), ((1, 2), 3, 2), ((2, 1), 3, 2), ((1, 3), 4, 3), ((2, 2), 4, 2),
+    ((3, 1), 4, 3), ((1, 3), 2, 1), ((2, 2), 2, 1), ((3, 1), 2, 1), ((1, 5), 3, 2),
+    ((2, 4), 3, 2), ((4, 2), 3, 2), ((5, 1), 3, 2), ((1, 7), 4, 3), ((2, 6), 4, 2),
+    ((2, 6), 4, 3), ((3, 5), 4, 3), ((5, 3), 4, 3), ((6, 2), 4, 2), ((6, 2), 4, 3),
+    ((7, 1), 4, 3), ((1, 1, 1), 3, 3), ((1, 1, 2), 2, 1), ((1, 2, 1), 2, 1),
+    ((2, 1, 1), 2, 1), ((4, 1, 1), 3, 3),
+]
+
+
+def test_single_restart_verdicts_are_pinned():
+    for expected, problems in ((True, CONVERGES), (False, FAILS)):
+        for exps, k, s in problems:
+            result = search(SearchProblem(Monomial(exps), k, s), restarts=1, seed=0)
+            assert result.converged is expected, (exps, k, s, result.best_residual)
+            assert result.restarts_used == 1
