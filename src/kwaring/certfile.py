@@ -202,9 +202,8 @@ def parse(text: str) -> Certificate:
     provenance = tuple(src.expect("note: ") for _ in range(nnotes))
     if src.next() != "end":
         raise CertificateParseError("missing end marker")
-    while src.pos < len(src.lines):
-        if src.next() != "":
-            raise CertificateParseError("trailing content after end marker")
+    if src.lines[src.pos:] != [""]:
+        raise CertificateParseError("file must end with the line 'end' and one newline")
 
     return Certificate(
         variables=variables,

@@ -30,8 +30,8 @@ The constructions:
   that push certificates through monomial substitution, variable
   identification, and multiplication by N (N^k times a certificate for M is
   a certificate for N^k M).
-* ``decompose``: the full pipeline, dispatching on the mod-k residue pattern
-  so that the summand count always matches classify's upper bound.
+* ``decompose``: the full pipeline, which builds with the rank rule that
+  attains classify's upper bound (see ``rank.RULES``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from math import factorial, lcm, prod
 
 from .algebra import EMPTY_TOWER, roots_of_unity_tower, unity_root
 from .polynomials import Monomial, Polynomial
-from .rank import KInstance, _k3_case, classify, reduce_mod_k
 from .rationals import Q
 
 
@@ -495,114 +494,22 @@ def multiply_cert(cert: Certificate, n: Monomial) -> Certificate:
 # Full pipeline
 
 
-def _unit_monomial(nv: int, i: int, e: int = 1) -> Monomial:
-    exps = [0] * nv
-    exps[i] = e
-    return Monomial(tuple(exps))
-
-
-def _pair_monomial(nv: int, i: int, j: int) -> Monomial:
-    exps = [0] * nv
-    exps[i] += 1
-    exps[j] += 1
-    return Monomial(tuple(exps))
-
-
 def decompose(inst: KInstance) -> Certificate:
     """Verified certificate whose summand count equals classify's upper bound.
 
-    Pipeline: reduce mod k, dispatch on the residue pattern, multiply the
-    cofactor back in.
+    It is built by the rule that attains the bound, ``rank.attaining_rule``.
+    A malformed certificate here is an internal fault, since the only input
+    is the monomial, so it is reported as a plain ``CertificateError``.
     """
-    monomial, k = inst.monomial, inst.k
-    residue, cofactor = reduce_mod_k(inst)
-    if residue.is_one():
-        cert = trivial_cert(monomial, k)
-    elif k == 2:
-        base = two_square(residue)
-        cert = multiply_cert(base, cofactor)
-    elif k == 3:
-        cert = _decompose_cubes(monomial, residue, cofactor)
-    else:
-        cert = _decompose_generic(k, residue, cofactor)
-    expected = classify(inst).upper
-    if cert.summand_count != expected:
+    from .rank import attaining_rule, classify  # rank imports this module's builders
+
+    bounds = classify(inst)
+    try:
+        cert = attaining_rule(bounds).build(inst)
+    except MalformedCertificateError as exc:
+        raise CertificateError(f"internal error: malformed certificate: {exc}") from exc
+    if cert.summand_count != bounds.upper:
         raise CertificateError(
-            f"internal error: {cert.summand_count} summands, classify says {expected}"
+            f"internal error: {cert.summand_count} summands, classify says {bounds.upper}"
         )
     return cert
-
-
-def _decompose_cubes(monomial: Monomial, residue: Monomial, cofactor: Monomial) -> Certificate:
-    nv = monomial.nvars
-    tag, data = _k3_case(monomial.exponents)
-    if tag == "xy2":
-        (r1, r2) = data
-        base = monomial_linear_decomp((1, 2))
-        cert = group_substitute(
-            base, [_unit_monomial(nv, r1[0]), _unit_monomial(nv, r2[0])]
-        )
-        return multiply_cert(cert, cofactor)
-    if tag == "x2y2z2":
-        r2 = data[1]
-        base = monomial_linear_decomp((1, 2))
-        images = [_unit_monomial(nv, r2[0], 2), _pair_monomial(nv, r2[1], r2[2])]
-        return multiply_cert(group_substitute(base, images), cofactor)
-    if tag == "xyw2z2":
-        (r1, r2) = data
-        base = monomial_linear_decomp((1, 2))
-        images = [_pair_monomial(nv, r1[0], r1[1]), _pair_monomial(nv, r2[0], r2[1])]
-        return multiply_cert(group_substitute(base, images), cofactor)
-    if tag == "xy2-5":
-        (r1, r2) = data
-        x_img = _unit_monomial(nv, r1[0]) * _unit_monomial(nv, r2[0], 2)
-        y_exps = [0] * nv
-        for i in r2[1:]:
-            y_exps[i] = 1
-        base = monomial_linear_decomp((1, 2))
-        images = [x_img, Monomial(tuple(y_exps))]
-        return multiply_cert(group_substitute(base, images), cofactor)
-    if tag == "x4yz":
-        (r1, big) = data
-        others = [i for i in r1 if i != big]
-        base = special_x04x1x2()
-        cert = group_substitute(
-            base,
-            [
-                _unit_monomial(nv, big),
-                _unit_monomial(nv, others[0]),
-                _unit_monomial(nv, others[1]),
-            ],
-        )
-        # M = (cofactor / x_big)^3 * x_big^4 x_a x_b
-        n_exps = list(cofactor.exponents)
-        n_exps[big] -= 1
-        return multiply_cert(cert, Monomial(tuple(n_exps)))
-    if tag in ("xyz", "xyz-open"):
-        r1 = data[0]
-        base = monomial_linear_decomp((1, 1, 1))
-        cert = group_substitute(base, [_unit_monomial(nv, i) for i in r1])
-        return multiply_cert(cert, cofactor)
-    if tag == "xyzw2":
-        (r1, r2) = data
-        base = monomial_linear_decomp((1, 1, 1))
-        images = [
-            _pair_monomial(nv, r1[0], r1[1]),
-            _pair_monomial(nv, r1[2], r1[3]),
-            _unit_monomial(nv, r2[0], 2),
-        ]
-        return multiply_cert(group_substitute(base, images), cofactor)
-    return _decompose_generic(3, residue, cofactor)
-
-
-def _decompose_generic(k: int, residue: Monomial, cofactor: Monomial) -> Certificate:
-    nv = residue.nvars
-    if residue.degree == k:
-        live = residue.live_indices()
-        base = monomial_linear_decomp(tuple(residue.exponents[i] for i in live))
-        cert = group_substitute(base, [_unit_monomial(nv, i) for i in live])
-        return multiply_cert(cert, cofactor)
-    parts = greedy_split(residue, k)
-    base = product_linear(k)
-    cert = group_substitute(base, parts)
-    return multiply_cert(cert, cofactor)

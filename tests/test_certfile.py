@@ -97,8 +97,10 @@ def test_trailing_content_rejected():
     text = serialize(product_linear(2))
     with pytest.raises(CertificateParseError):
         parse(text + "extra\n")
-    # trailing blank lines are tolerated
-    parse(text + "\n\n")
+    # the file ends with exactly "end\n": no blank lines after it, no missing newline
+    for bad in (text + "\n", text + "\n\n", text[:-1]):
+        with pytest.raises(CertificateParseError):
+            parse(bad)
 
 
 def test_noncanonical_term_order_rejected():
@@ -185,7 +187,7 @@ def _canonical_texts():
 )
 def test_every_accepted_text_is_canonical(which, edits):
     """Mutation property: any text the parser accepts serializes back to
-    itself, up to the blank lines tolerated after ``end``."""
+    itself."""
     text = _canonical_texts()[which]
     for pos, op, piece in edits:
         pos %= len(text) + 1
@@ -195,4 +197,4 @@ def test_every_accepted_text_is_canonical(which, edits):
         cert = parse(text)
     except CertificateParseError:
         return
-    assert serialize(cert) == text.rstrip("\n") + "\n"
+    assert serialize(cert) == text

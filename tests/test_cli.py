@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
+from kwaring import rank
 from kwaring.certfile import parse
 from kwaring.cli import main, parse_monomial
-from kwaring.decomp import verify
+from kwaring.decomp import greedy_split, verify
 
 CLI = [sys.executable, "-m", "kwaring"]
 
@@ -75,6 +76,19 @@ def test_decompose_to_file_then_verify(tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     out = capsys.readouterr().out
     assert "verified: x0^4*x1^1*x2^1 (3 summands, k=3)" in out
+
+
+def test_decompose_repaired_split_and_internal_fault_exit_code(monkeypatch, capsys):
+    # greedy_split pairs up every block of x0^4 x1^4 x2^4 at k = 6; decompose
+    # moves one unit so that no form of the alternating-sign identity vanishes
+    assert main(["decompose", "-k", "6", "4,4,4"]) == 0
+    assert parse(capsys.readouterr().out).summand_count == 32
+    # with the plain greedy split a form vanishes: a fault of decompose, so exit 3
+    monkeypatch.setattr(rank, "_split_blocks", greedy_split)
+    assert main(["decompose", "-k", "6", "4,4,4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and "malformed" in captured.err
 
 
 def test_verify_detects_coefficient_corruption(tmp_path):

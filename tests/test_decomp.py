@@ -325,6 +325,7 @@ NAMED_DECOMPOSE_CASES = [
     ((1, 2, 2, 2, 2), 3, 3),
     ((1, 3), 2, 2),
     ((6, 3), 3, 1),
+    ((4, 4, 4), 6, 32),
 ]
 
 

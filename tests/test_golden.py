@@ -3,9 +3,10 @@ writing these exact bytes.
 
 Each file in ``tests/golden/`` is the serialized certificate of one fixed
 instance: one k = 2..6 instance through ``decompose``, one instance per k = 3
-case tag of ``rank._k3_case``, ``product_linear(5)`` and
-``special_x04x1x2``.  Regenerate them, after a deliberate format change only,
-with ``PYTHONPATH=src python tests/test_golden.py``.
+residue pattern that the constructions tell apart, so that every rule of
+``rank.RULES`` with a build step builds at least one of them,
+``product_linear(5)`` and ``special_x04x1x2``.  Regenerate them, after a
+deliberate format change only, with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from kwaring import KInstance, Monomial, decompose, product_linear, serialize, special_x04x1x2
-from kwaring.rank import _k3_case
+from kwaring.rank import RULES, attaining_rule, classify
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -32,6 +33,7 @@ DECOMPOSE = [
     (4, (3, 2, 2, 1)),
     (5, (2, 1, 1, 1)),
     (6, (5, 1)),
+    (3, (6, 3)),              # pure power
 ]
 
 
@@ -47,10 +49,10 @@ def golden_builders():
     return out
 
 
-def test_instance_list_covers_every_k3_case_tag():
-    tags = {_k3_case(exps)[0] for k, exps in DECOMPOSE if k == 3}
-    assert tags == {"xy2", "x2y2z2", "xyw2z2", "xy2-5", "x4yz", "xyz", "xyz-open",
-                    "xyzw2", "other"}
+def test_instance_list_covers_every_build_rule():
+    chosen = {attaining_rule(classify(KInstance(Monomial(exps), k))).name
+              for k, exps in DECOMPOSE}
+    assert chosen == {rule.name for rule in RULES if rule.build is not None}
     assert {k for k, _ in DECOMPOSE} == {2, 3, 4, 5, 6}
 
 

@@ -8,16 +8,18 @@ import random
 
 import pytest
 
+from kwaring.decomp import greedy_split
 from kwaring.polynomials import Monomial
 from kwaring.rank import (
+    RULES,
     KInstance,
+    _split_blocks,
+    attaining_rule,
     classify,
     compare_bounds,
-    lower_bound,
     monomial_rank,
     reduce_mod_k,
     residue_classes,
-    upper_bound,
 )
 
 # Frozen values for the product formula (checked against the construction
@@ -117,12 +119,6 @@ def test_residue_classes_against_oracle():
             assert residue_classes(n, k) == _classes_oracle(n, k), (n, k)
 
 
-def test_lower_bound_cases():
-    assert lower_bound(KInstance(Monomial((2, 4)), 2)) == 1
-    assert lower_bound(KInstance(Monomial((1, 1)), 2)) == 2
-    assert lower_bound(KInstance(Monomial((1, 2)), 3)) == 3
-
-
 CLASSIFY_CASES = [
     # (exponents, k, lower, upper, exact)
     ((2, 4), 3, 3, 3, True),
@@ -142,6 +138,9 @@ CLASSIFY_CASES = [
     ((2, 2, 2), 3, 3, 3, True),
     ((1, 1, 2, 2), 3, 3, 3, True),
     ((1, 2, 2, 2, 2), 3, 3, 3, True),
+    ((2, 4), 2, 1, 1, True),
+    ((1, 1), 2, 2, 2, True),
+    ((1, 1, 1, 1, 1, 1), 6, 32, 32, True),
 ]
 
 
@@ -149,6 +148,9 @@ def test_classify_cases():
     for exps, k, lo, hi, exact in CLASSIFY_CASES:
         b = classify(KInstance(Monomial(exps), k))
         assert (b.lower, b.upper, b.exact) == (lo, hi, exact), (exps, k)
+    # the generic 2^(k-1) split bound is attained by x0*...*x5 at k = 6
+    b = classify(KInstance(Monomial((1,) * 6), 6))
+    assert any(r.rule == "generic-split" and r.bound == 32 for r in b.trace)
 
 
 def test_classify_trace_is_consistent():
@@ -160,6 +162,54 @@ def test_classify_trace_is_consistent():
             assert rec.bound >= b.lower
             if rec.kind in ("upper", "exact"):
                 assert rec.bound >= b.upper
+
+
+# (exponents, k, the rule decompose builds with); ties go to the later rule
+ATTAINING_CASES = [
+    ((6, 3), 3, "pure-power"),
+    ((1, 3), 2, "two-square"),
+    ((2, 4), 3, "binary-residue-bound"),
+    ((1, 3), 4, "binary-residue-bound"),
+    ((1, 1, 1), 3, "reduced-rank-formula"),
+    ((1, 1, 1, 1), 4, "reduced-rank-formula"),
+    ((1, 1, 1, 1, 2), 3, "generic-split"),
+    ((3, 2, 2, 1), 4, "generic-split"),
+    ((2, 2, 2), 3, "cube-grouping"),
+    ((4, 1, 1), 3, "x4yz-cube-route"),
+]
+
+
+def test_trace_follows_the_table_and_names_the_construction():
+    order = [rule.name for rule in RULES]
+    assert len(set(order)) == len(order)
+    for exps, k, _, hi, _ in CLASSIFY_CASES:
+        b = classify(KInstance(Monomial(exps), k))
+        positions = [order.index(r.rule) for r in b.trace]
+        assert positions == sorted(positions), (exps, k)
+        rule = attaining_rule(b)
+        assert rule.build is not None and rule.kind != "lower", (exps, k)
+        assert any(r.rule == rule.name and r.bound == hi for r in b.trace), (exps, k)
+    for exps, k, name in ATTAINING_CASES:
+        assert attaining_rule(classify(KInstance(Monomial(exps), k))).name == name, (exps, k)
+
+
+def test_split_blocks_leave_a_block_of_odd_count():
+    # greedy_split pairs every block up on these residues
+    for exps, k in [((4, 4, 4), 6), ((4, 4, 4, 4), 8), ((6, 6, 6, 6), 8)]:
+        residue = Monomial(exps)
+        greedy = greedy_split(residue, k)
+        assert not any(greedy.count(b) % 2 for b in greedy), (exps, k)
+        blocks = _split_blocks(residue, k)
+        assert len(blocks) == k
+        assert len({b.degree for b in blocks}) == 1
+        product = blocks[0]
+        for b in blocks[1:]:
+            product = product * b
+        assert product == residue, (exps, k)
+        assert any(blocks.count(b) % 2 for b in blocks), (exps, k)
+    # elsewhere the greedy split is kept as it is
+    for exps, k in [((3, 2, 2, 1), 4), ((1, 1, 1, 1, 1, 1), 3), ((2, 2, 2, 2), 4)]:
+        assert _split_blocks(Monomial(exps), k) == greedy_split(Monomial(exps), k)
 
 
 def test_classify_permutation_and_padding_invariance():
@@ -192,12 +242,6 @@ def test_classify_never_worse_after_kth_power_factor():
         grown = tuple(e + x for e, x in zip(exps, extra))
         after = classify(KInstance(Monomial(grown), k))
         assert after.upper <= before.upper, (exps, extra, k)
-
-
-def test_upper_bound_generic_rule():
-    value, trace = upper_bound(KInstance(Monomial((1, 1, 1, 1, 1, 1)), 6))
-    assert value <= 2 ** 5
-    assert any(r.rule == "generic-split" for r in trace)
 
 
 def _compare_oracle(n):
