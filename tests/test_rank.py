@@ -148,8 +148,18 @@ def test_classify_cases():
     for exps, k, lo, hi, exact in CLASSIFY_CASES:
         b = classify(KInstance(Monomial(exps), k))
         assert (b.lower, b.upper, b.exact) == (lo, hi, exact), (exps, k)
+
+
+def test_lower_bound_cases():
+    assert classify(KInstance(Monomial((2, 4)), 2)).lower == 1
+    assert classify(KInstance(Monomial((1, 1)), 2)).lower == 2
+    assert classify(KInstance(Monomial((1, 2)), 3)).lower == 3
+
+
+def test_upper_bound_generic_rule():
     # the generic 2^(k-1) split bound is attained by x0*...*x5 at k = 6
-    b = classify(KInstance(Monomial((1,) * 6), 6))
+    b = classify(KInstance(Monomial((1, 1, 1, 1, 1, 1)), 6))
+    assert b.upper <= 2 ** 5
     assert any(r.rule == "generic-split" and r.bound == 32 for r in b.trace)
 
 
