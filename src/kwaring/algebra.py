@@ -21,9 +21,11 @@ Roots of unity are adjoined through cyclotomic polynomials rather than
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import lcm, prod
 import operator
+
+import numpy as np
 
 from .rationals import Q, as_rational, is_rational, rational_text
 
@@ -275,8 +277,6 @@ class ExtensionTower:
         Deterministic without an rng (largest root by (real, imag)); with an
         rng, one root is picked uniformly per level.
         """
-        import numpy as np
-
         roots: list = []
         for g in self.generators:
             # coefficients of the defining polynomial at the chosen roots
@@ -337,7 +337,7 @@ class IntegerStructure:
     with integer T and one common denominator L for the tower (1 for
     cyclotomic towers), so ``mul(x, y)`` returns L*x*y and a product of r
     factors carries L^(r-1).  Table rows are filled lazily, only for the
-    pairs that occur.
+    pairs that occur; ``row_norm`` and ``table_mod`` fill all of them.
     """
 
     def __init__(self, tower: ExtensionTower):
@@ -354,6 +354,7 @@ class IntegerStructure:
             tuple((i // s) % d for s, d in zip(strides, degs)) for i in range(self.size)
         ]
         self._rows = [None] * (self.size * self.size)
+        self._tables_mod: dict = {}
         self.zero = [0] * self.size
         self.one = [1] + [0] * (self.size - 1)
 
@@ -387,6 +388,40 @@ class IntegerStructure:
             row = tuple(row)
         self._rows[i * n + j] = self._rows[j * n + i] = row
         return row
+
+    def _full_rows(self) -> list:
+        n = self.size
+        for i in range(n):
+            for j in range(i, n):
+                if self._rows[i * n + j] is None:
+                    self._row(i, j)
+        return self._rows
+
+    @cached_property
+    def row_norm(self) -> int:
+        """rho = max over basis pairs (i, j) of sum_k |T_ijk|, so that
+        ``|mul(x, y)|_1 <= rho * |x|_1 * |y|_1`` in the 1-norm."""
+        return max(sum(abs(t) for _, t in row) for row in self._full_rows())
+
+    def table_mod(self, primes: tuple) -> np.ndarray:
+        """The full table T reduced mod each prime: int64 of shape
+        (primes, size * size, size), row i * size + j holding T_ij.  Kept on
+        this instance per tuple of primes."""
+        table = self._tables_mod.get(primes)
+        if table is None:
+            n = self.size
+            dense = [[0] * n for _ in range(n * n)]
+            for ij, row in enumerate(self._full_rows()):
+                for k, t in row:
+                    dense[ij][k] = t
+            table = np.array([[[t % p for t in row] for row in dense] for p in primes],
+                             dtype=np.int64)
+            self._tables_mod[primes] = table
+        return table
+
+    def vector(self, x) -> list:
+        """An element as its list of basis coefficients."""
+        return x
 
     def mul(self, x, y):
         n, rows = self.size, self._rows
@@ -424,10 +459,15 @@ class _RationalStructure(IntegerStructure):
         self.size = self.denominator = self.one = 1
         self.zero = 0
         self._strides = ()
+        self._rows = [((0, 1),)]
+        self._tables_mod = {}
 
     def clear(self, elements):
         values, den = super().clear(elements)
         return [v[0] for v in values], den
+
+    def vector(self, x) -> list:
+        return [x]
 
     mul = staticmethod(operator.mul)
     add = staticmethod(operator.add)

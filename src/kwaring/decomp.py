@@ -6,8 +6,12 @@ A certificate records a claimed identity
 
 with M a monomial of degree k*d, the G_j homogeneous degree-d forms and the
 c_j scalars, everything over one extension tower.  ``verify`` re-expands the
-right side in exact Python integers, never floating point: denominators are
-cleared once and tower elements become integer vectors (plain ints over Q).
+right side exactly, never in floating point: denominators are cleared once
+and tower elements become integer vectors (plain ints over Q).  Small
+expansions run in Python ints.  Large ones run in numpy int64 modulo primes
+just below 2^26 whose product exceeds a certified bound H on every
+coefficient of the difference, so a difference that vanishes modulo every
+prime vanishes exactly.  Either way a True verdict proves the identity.
 No construction in this module returns an unverified certificate.
 
 The constructions:
@@ -37,8 +41,11 @@ The constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
+
+import numpy as np
 
 from .algebra import EMPTY_TOWER, roots_of_unity_tower, unity_root
 from .polynomials import Monomial, Polynomial
@@ -103,15 +110,33 @@ def verify(cert: Certificate) -> bool:
 
     Malformed certificates (non-homogeneous or wrong-degree forms, mixed
     towers, arity mismatches) raise; a well-formed certificate whose
-    expansion differs from the target returns False.
+    expansion differs from the target returns False.  True means the
+    identity is proven exactly.
 
-    The expansion runs in Python ints.  Each summand's form and scalar are
-    cleared to integer vectors over their least common denominators D and
-    D_s, and G^k is expanded multinomially over the tower's integer
-    structure table (common denominator L), so every contribution of the
-    summand carries the one denominator L^k * D^k * D_s and no gcd is taken.
-    Summands are brought to a common denominator and the sum is compared
-    with the target scaled by it.
+    Each summand's form and scalar are cleared to integer vectors over their
+    least common denominators D and D_s, and the summands are brought to one
+    common denominator.  Small expansions run in Python ints
+    (``_integer_kernel``); from ``MODULAR_MIN_WORK`` on, the expansion runs
+    in numpy int64 modulo primes whose product exceeds a certified bound on
+    every coefficient of the difference (``_modular_kernel``), so a zero
+    residue there is a zero coefficient as well.
+    """
+    args = _cleared(cert)
+    ring, parts, k, _ = args
+    if ring.size <= MODULAR_MAX_SIZE and _expansion_work(ring, parts, k) >= MODULAR_MIN_WORK:
+        ok = _modular_kernel(*args)
+    else:
+        ok = _integer_kernel(*args)
+    cert.verified = ok
+    return ok
+
+
+def _cleared(cert: Certificate):
+    """Check the certificate's structure and clear its denominators.
+
+    Returns (ring, parts, k, target exponents), one part per summand:
+    (support, form coefficients, D, scalar, D_s) with the form's support
+    sorted and every value an integer vector of ``ring``.
     """
     k = cert.k
     if k < 1:
@@ -137,24 +162,44 @@ def verify(cert: Certificate) -> bool:
         support = tuple(sorted(form.terms))
         coeffs, den = ring.clear([form.terms[e] for e in support])
         (s,), den_s = ring.clear([sc])
-        parts.append((support, coeffs, s, (ring.denominator * den) ** k * den_s))
-    common = lcm(*(part[3] for part in parts))
-    plans: dict = {}
-    total: dict = {}
-    for support, coeffs, s, den in parts:
-        plan = plans.get(support)
-        if plan is None:
-            plan = plans[support] = _expansion_plan(support, k)
-        monomials, leaves = plan
-        s = ring.scale(s, common // den)
-        for mono, v in zip(monomials, _expand(ring, leaves, len(monomials), coeffs, k)):
-            v = ring.mul(s, v)
-            prev = total.get(mono)
-            total[mono] = v if prev is None else ring.add(prev, v)
-    lead = total.pop(cert.target.exponents, ring.zero)
-    ok = lead == ring.scale(ring.one, common) and all(v == ring.zero for v in total.values())
-    cert.verified = ok
-    return ok
+        parts.append((support, coeffs, den, s, den_s))
+    return ring, parts, k, cert.target.exponents
+
+
+# The modular kernel takes an expansion from this ``_expansion_work`` on.
+# Below it numpy's fixed cost per call outweighs the Python-int kernel; at
+# and above it the modular kernel was the faster one on every certificate of
+# the decompose sweep, the criterion-02 grid and product_linear(2..7)
+# (2-CPU Xeon VM, Python 3.11).
+MODULAR_MIN_WORK = 1024
+# Towers of at most 45 basis elements keep every modular product sum below
+# 2^63: 45^2 terms, each below p^2 < 2^52.
+MODULAR_MAX_SIZE = 45
+PRIME_LIMIT = 1 << 26
+# Size of the modular kernel's largest temporary arrays.
+BLOCK_BYTES = 1 << 18
+
+
+def _expansion_work(ring, parts, k: int) -> int:
+    """Size estimate of an expansion: leaves * terms * size^2 summed over the
+    summands, about the tower products the Python-int kernel forms."""
+    return ring.size ** 2 * sum(
+        comb(k + len(p[0]) - 1, k) * len(p[0]) for p in parts
+    )
+
+
+@cache
+def _leaf_table(t: int, k: int):
+    """The multinomial expansion of a t-term sum to the k-th power.
+
+    Returns every exponent assignment (b_1 .. b_t) with sum k, as a tuple of
+    tuples and as a read-only (leaves, t) int64 array, and the multinomial
+    coefficients k! / prod b_u! as a tuple of ints.
+    """
+    rows = tuple(_assignments(k, t))
+    array = np.array(rows, dtype=np.int64).reshape(len(rows), t)
+    array.flags.writeable = False
+    return rows, array, tuple(_multinomial(k, bs) for bs in rows)
 
 
 def _assignments(n: int, parts: int):
@@ -167,22 +212,54 @@ def _assignments(n: int, parts: int):
             yield (b,) + rest
 
 
+def _integer_kernel(ring, parts, k: int, target) -> bool:
+    """Verdict of ``_integer_difference``: every coefficient is zero."""
+    return all(v == ring.zero for v in _integer_difference(ring, parts, k, target).values())
+
+
+def _integer_difference(ring, parts, k: int, target) -> dict:
+    """The expansion minus the target, exactly, in Python ints.
+
+    G^k is expanded multinomially over the tower's integer structure table
+    (common denominator L), so every contribution of a summand carries the
+    one denominator L^k * D^k * D_s and no gcd is taken.  Returns
+    {monomial: integer vector} over the common denominator of the summands.
+    """
+    dens = [(ring.denominator * den) ** k * den_s for _, _, den, _, den_s in parts]
+    common = lcm(*dens)
+    plans: dict = {}
+    total: dict = {}
+    for (support, coeffs, _, s, _), den in zip(parts, dens):
+        plan = plans.get(support)
+        if plan is None:
+            plan = plans[support] = _expansion_plan(support, k)
+        monomials, leaves = plan
+        s = ring.scale(s, common // den)
+        for mono, v in zip(monomials, _expand(ring, leaves, len(monomials), coeffs, k)):
+            v = ring.mul(s, v)
+            prev = total.get(mono)
+            total[mono] = v if prev is None else ring.add(prev, v)
+    total[target] = ring.add(total.get(target, ring.zero), ring.scale(ring.one, -common))
+    return total
+
+
 def _expansion_plan(support: tuple, k: int):
     """The multinomial expansion of (sum_t c_t x^(e_t))^k for one support.
 
     Returns the distinct output monomials and one leaf per exponent
     assignment (b_t): the indices of the powers c_t^(b_t) in the flat table
     built by ``_expand``, the output monomial's index and the multinomial
-    coefficient k! / prod b_t!.  Summands with the same support share it.
+    coefficient.  Summands with the same support share it.
     """
     nv = len(support[0])
     monomials: dict = {}
     leaves = []
-    for bs in _assignments(k, len(support)):
+    rows, _, multinomials = _leaf_table(len(support), k)
+    for bs, multi in zip(rows, multinomials):
         mono = tuple(sum(b * e[v] for b, e in zip(bs, support)) for v in range(nv))
         out = monomials.setdefault(mono, len(monomials))
         factors = tuple(t * (k + 1) + b for t, b in enumerate(bs) if b)
-        leaves.append((factors, out, _multinomial(k, bs)))
+        leaves.append((factors, out, multi))
     return tuple(monomials), leaves
 
 
@@ -201,6 +278,163 @@ def _expand(ring, leaves, nout: int, coeffs, k: int) -> list:
     for factors, out, multi in leaves:
         sums[out] = add(sums[out], scale(product([powers[i] for i in factors]), multi))
     return sums
+
+
+def _modular_kernel(ring, parts, k: int, target) -> bool:
+    """The expansion minus the target, modulo primes, in numpy int64.
+
+    Summands are grouped by support and expanded in blocks that keep every
+    temporary array near ``BLOCK_BYTES``.  The scalar enters as the zeroth
+    power of the first term, ``pw[0] = s``, the others start at
+    ``pw[0] = 1``, and ``pw[b] = mul(pw[b-1], c)``; a leaf takes t - 1
+    products of its t powers, so with t terms every contribution of a summand
+    carries L^(k+t-1) * D^k * D_s.  Leaves are multiplied by their
+    multinomials, and all are grouped by output monomial with one sort.
+
+    ``_height_bound`` bounds every coefficient of the exact difference, and
+    the primes' product exceeds it, so all residues are zero exactly when
+    the exact difference is zero.
+    """
+    n = ring.size
+    if n > MODULAR_MAX_SIZE:
+        raise ValueError(f"modular expansion needs a tower of size <= {MODULAR_MAX_SIZE}, not {n}")
+    dens, common = _modular_denominators(ring, parts, k)
+    primes = _primes_above(_height_bound(ring, parts, k))
+    m = len(primes)
+    pcol = np.array(primes, dtype=np.int64).reshape(m, 1, 1)
+    table = ring.table_mod(primes)
+    groups: dict = {}
+    for (support, coeffs, _, s, _), den in zip(parts, dens):
+        groups.setdefault(support, []).append(
+            [ring.vector(c) for c in coeffs] + [ring.vector(ring.scale(s, common // den))]
+        )
+    monomials, sums = [], []
+    for support, members in groups.items():
+        t = len(support)
+        _, assign, multinomials = _leaf_table(t, k)
+        nleaves = len(multinomials)
+        flat = [a for vectors in members for v in vectors for a in v]
+        values = _residues(flat, primes).reshape(m, len(members), t + 1, n)
+        cap = max(1, BLOCK_BYTES // (8 * m * n * n))
+        block, chunk = (max(1, cap // nleaves), nleaves) if nleaves <= cap else (1, cap)
+        acc = np.zeros((m, nleaves, n), dtype=np.int64)
+        for j in range(0, len(members), block):
+            c = values[:, j:j + block, :t]
+            pw = np.zeros(c.shape[:3] + (k + 1, n), dtype=np.int64)
+            pw[:, :, 1:, 0, 0] = 1
+            pw[:, :, 0, 0] = values[:, j:j + block, t]
+            for b in range(1, k + 1):
+                pw[:, :, :, b] = _mul_mod(pw[:, :, :, b - 1], c, table, pcol)
+            for lo in range(0, nleaves, chunk):
+                leaf = assign[lo:lo + chunk]
+                val = np.take(pw[:, :, 0], leaf[:, 0], axis=2)
+                for u in range(1, t):
+                    val = _mul_mod(val, np.take(pw[:, :, u], leaf[:, u], axis=2), table, pcol)
+                acc[:, lo:lo + chunk] += val.sum(axis=1)
+                acc[:, lo:lo + chunk] %= pcol
+        multi = _residues(multinomials, primes).reshape(m, nleaves, 1)
+        sums.append(acc * multi % pcol)
+        monomials.append(assign @ np.array(support, dtype=np.int64).reshape(t, len(target)))
+    if not sums:
+        return False
+    mono = np.concatenate(monomials)
+    order = np.lexsort(mono.T if mono.shape[1] else np.zeros((1, len(mono)), np.int64))
+    mono = mono[order]
+    starts = np.flatnonzero(np.concatenate(([True], (mono[1:] != mono[:-1]).any(axis=1))))
+    total = np.add.reduceat(np.concatenate(sums, axis=1)[:, order], starts, axis=1) % pcol
+    hit = np.flatnonzero((mono[starts] == np.array(target)).all(axis=1))
+    if not len(hit):
+        return False
+    total[:, hit[0], 0] -= _residues([common], primes)[:, 0]
+    return not total.any()
+
+
+def _mul_mod(x, y, table, pcol):
+    """``mul`` on equal-shaped stacks of tower vectors (primes, ..., size)
+    mod each prime: an outer product, then a matmul with the table."""
+    m, n = x.shape[0], x.shape[-1]
+    if n == 1:  # plain Q, whose table is [[[1]]]
+        return (x.reshape(m, -1, 1) * y.reshape(m, -1, 1) % pcol).reshape(x.shape)
+    outer = (x.reshape(m, -1, n, 1) * y.reshape(m, -1, 1, n)).reshape(m, -1, n * n) % pcol
+    return (outer @ table % pcol).reshape(x.shape)
+
+
+def _residues(ints, primes) -> np.ndarray:
+    """Python ints reduced mod each prime: int64 of shape (primes, len(ints))."""
+    flat = np.array(ints, dtype=object)
+    return np.stack([(flat % p).astype(np.int64) for p in primes])
+
+
+def _modular_denominators(ring, parts, k: int):
+    """Each summand's denominator L^(k+t-1) * D^k * D_s in the modular
+    kernel, and their least common multiple."""
+    dens = [ring.denominator ** (k + len(support) - 1) * den ** k * den_s
+            for support, _, den, _, den_s in parts]
+    return dens, lcm(*dens)
+
+
+def _height_bound(ring, parts, k: int) -> int:
+    """H >= |every coefficient| of the modular kernel's exact difference.
+
+    In the 1-norm, ``mul`` grows a product by at most rho = ``ring.row_norm``,
+    and the leaves of a summand with t terms take k + t - 1 products, so
+
+        H = common + sum_j (common / den_j) |s_j| rho^(k+t_j-1) (sum_u |c_ju|)^k
+    """
+    dens, common = _modular_denominators(ring, parts, k)
+    rho = ring.row_norm
+
+    def norm(x) -> int:
+        return sum(abs(a) for a in ring.vector(x))
+
+    return common + sum(
+        common // den * norm(s) * rho ** (k + len(support) - 1)
+        * sum(norm(c) for c in coeffs) ** k
+        for (support, coeffs, _, s, _), den in zip(parts, dens)
+    )
+
+
+def _primes_above(height: int) -> tuple:
+    """The fewest of the largest primes below 2^26 whose product exceeds height."""
+    count = max(1, -(-height.bit_length() // 26))
+    while prod(_primes(count)) <= height:
+        count += 1
+    return _primes(count)
+
+
+@cache
+def _primes(count: int) -> tuple:
+    """The `count` largest primes below ``PRIME_LIMIT``, descending."""
+    out = []
+    n = PRIME_LIMIT - 1
+    while len(out) < count:
+        if _is_prime(n):
+            out.append(n)
+        n -= 2
+    return tuple(out)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: bases 2, 7 and 61 decide every n < 4,759,123,141."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 61):
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _must_verify(cert: Certificate) -> Certificate:

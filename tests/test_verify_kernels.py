@@ -1,0 +1,157 @@
+"""The two expansion kernels behind ``verify`` against each other.
+
+``_integer_kernel`` expands in Python ints; ``_modular_kernel`` expands in
+numpy int64 modulo primes whose product exceeds ``_height_bound``.  They must
+give the same verdict on every certificate of the decompose sweep, on the
+golden files and on a seeded single-digit corruption of each golden file, and
+the height bound must dominate every coefficient of the exact difference
+that the integer kernel computes.  The sympy oracle runs both kernels too
+(``tests/test_verify_oracle.py``).
+"""
+
+import random
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from kwaring import decomp
+from kwaring.algebra import EMPTY_TOWER, roots_of_unity_tower
+from kwaring.certfile import parse, serialize
+from kwaring.decomp import (
+    Certificate,
+    _cleared,
+    _height_bound,
+    _integer_difference,
+    _integer_kernel,
+    _modular_kernel,
+    _primes,
+    decompose,
+    monomial_linear_decomp,
+    verify,
+)
+from kwaring.polynomials import Monomial, Polynomial
+from kwaring.rank import KInstance
+from kwaring.rationals import Q
+
+from test_sweep import sweep
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def corrupted(text: str, rng) -> str:
+    """Change one digit of a scalar or term coefficient so that the text
+    still parses and stays canonical."""
+    lines = text.split("\n")
+    spots = []
+    for i, line in enumerate(lines):
+        if line.startswith(("scalar: ", "term: ")):
+            start = line.index(" :: ") if line.startswith("term: ") else 0
+            spots += [(i, j) for j in range(start, len(line)) if line[j].isdigit()
+                      and line.rfind("(", 0, j) > line.rfind(")", 0, j)]
+    while True:
+        i, j = rng.choice(spots)
+        new = str((int(lines[i][j]) + rng.randrange(1, 10)) % 10)
+        candidate = lines[:]
+        candidate[i] = lines[i][:j] + new + lines[i][j + 1:]
+        candidate = "\n".join(candidate)
+        try:
+            if serialize(parse(candidate)) == candidate:
+                return candidate
+        except ValueError:
+            pass
+
+
+def assert_kernels_agree(cert) -> bool:
+    args = _cleared(cert)
+    verdict = _integer_kernel(*args)
+    assert _modular_kernel(*args) is verdict
+    diff = _integer_difference(*args)
+    largest = max(abs(a) for v in diff.values() for a in args[0].vector(v))
+    assert _height_bound(*args[:3]) >= largest
+    return verdict
+
+
+def test_kernels_agree_on_the_sweep():
+    for k, exps in sweep():
+        assert assert_kernels_agree(decompose(KInstance(Monomial(exps), k))), (k, exps)
+
+
+def test_kernels_agree_on_golden_files_and_their_corruptions():
+    rng = random.Random(5)
+    paths = sorted(GOLDEN_DIR.glob("*.cert"))
+    assert len(paths) == 16
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert assert_kernels_agree(parse(text)) is True, path.name
+        assert assert_kernels_agree(parse(corrupted(text, rng))) is False, path.name
+
+
+def _cert(tower, nv, k, target, summands):
+    return Certificate(tuple(f"x{i}" for i in range(nv)), k, Monomial(target), tower,
+                       tuple(summands))
+
+
+def _both(cert):
+    args = _cleared(cert)
+    return _integer_kernel(*args), _modular_kernel(*args)
+
+
+def test_modular_edge_cases():
+    t = EMPTY_TOWER
+    x0, x1 = (Polynomial.variable(t, 2, i) for i in range(2))
+    one = t.one()
+    assert _both(_cert(t, 2, 2, (1, 1), ())) == (False, False)
+    # t = 1: x0^3 = (x0)^3, and a false one
+    assert _both(_cert(t, 2, 3, (3, 0), [(one, x0)])) == (True, True)
+    assert _both(_cert(t, 2, 3, (3, 0), [(t.scalar(2), x0)])) == (False, False)
+    # mixed support lengths: x0 x1 = (1/2)(x0 + x1)^2 - (1/2) x0^2 - (1/2) x1^2
+    mixed = [(t.scalar(Q(1, 2)), x0 + x1), (t.scalar(Q(-1, 2)), x0),
+             (t.scalar(Q(-1, 2)), x1)]
+    assert _both(_cert(t, 2, 2, (1, 1), mixed)) == (True, True)
+    assert _both(_cert(t, 2, 2, (1, 1), mixed[:2])) == (False, False)
+    # the target appears in no expansion
+    assert _both(_cert(t, 2, 2, (1, 1), [(one, x0), (-one, x1)])) == (False, False)
+    # over Q(i), size 2: y0^2 = (1/2)(y0 + i y1)^2 + (1/2)(y0 - i y1)^2 + y1^2
+    qi = EMPTY_TOWER.extend("i", (Q(1), Q(0), Q(1)))
+    y0, y1 = (Polynomial.variable(qi, 2, j) for j in range(2))
+    i = qi.generator_element("i")
+    squares = [(qi.scalar(Q(1, 2)), y0 + y1 * i), (qi.scalar(Q(1, 2)), y0 - y1 * i),
+               (qi.one(), y1)]
+    assert _both(_cert(qi, 2, 2, (2, 0), squares)) == (True, True)
+    assert _both(_cert(qi, 2, 2, (2, 0), squares[:2])) == (False, False)
+
+
+def test_plain_q_grid_and_large_towers():
+    cert = monomial_linear_decomp((1, 1, 1, 1))  # product of four variables over Q
+    assert cert.tower == EMPTY_TOWER and _both(cert) == (True, True)
+    big = roots_of_unity_tower([5, 7, 9])  # 4 * 6 * 6 = 144 basis elements
+    z0, z1 = (Polynomial.variable(big, 2, j) for j in range(2))
+    cert = _cert(big, 2, 2, (1, 1), [(big.scalar(Q(1, 4)), z0 + z1),
+                                     (big.scalar(Q(-1, 4)), z0 - z1)])
+    assert verify(cert) is True
+    with pytest.raises(ValueError, match="size <= 45"):
+        _modular_kernel(*_cleared(cert))
+
+
+def test_primes_are_distinct_and_below_the_limit():
+    primes = _primes(40)
+    assert len(set(primes)) == 40 and all(p < 2 ** 26 for p in primes)
+    for p in primes:
+        assert all(p % q for q in range(2, int(p ** 0.5) + 1))
+    assert [n for n in range(2, 2000) if decomp._is_prime(n)] == [
+        n for n in range(2, 2000) if all(n % q for q in range(2, int(n ** 0.5) + 1))]
+
+
+def test_verify_memory_stays_bounded():
+    cert = monomial_linear_decomp((1, 2, 3, 3))
+    args = _cleared(cert)
+    assert decomp._expansion_work(*args[:3]) >= decomp.MODULAR_MIN_WORK
+    verify(cert)
+    tracemalloc.start()
+    try:
+        assert verify(cert) is True
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak

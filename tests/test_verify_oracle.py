@@ -12,6 +12,8 @@ a diagonal change of variables and by cancelling pairs
 (c * lam^k, G), (-c, lam * G) with random tower elements lam; random
 certificates that are almost always false; and single-coefficient
 corruptions of the true ones, which must return False and never raise.
+Each certificate goes through ``verify`` and through both of its expansion
+kernels, called directly.
 """
 
 import random
@@ -23,6 +25,9 @@ import sympy
 from kwaring.algebra import EMPTY_TOWER, roots_of_unity_tower
 from kwaring.decomp import (
     Certificate,
+    _cleared,
+    _integer_kernel,
+    _modular_kernel,
     decompose,
     monomial_linear_decomp,
     product_linear,
@@ -62,6 +67,13 @@ def oracle(cert: Certificate) -> bool:
         return expr == 0
     _, rem = sympy.reduced(expr, relations, *reversed(gs), *xs, order="lex")
     return sympy.expand(rem) == 0
+
+
+KERNELS = (
+    verify,
+    lambda cert: _integer_kernel(*_cleared(cert)),
+    lambda cert: _modular_kernel(*_cleared(cert)),
+)
 
 
 def _rational(rng):
@@ -184,11 +196,11 @@ def test_true_identities_and_their_corruptions(name, seed):
     cert = TRUE_CERTS[name](rng)
     variants = [cert, _rescaled(cert, rng), _with_cancelling_pairs(cert, rng)]
     for variant in variants:
-        assert oracle(variant) is True
-        assert verify(variant) is True
         bad = _corrupted(variant, rng)
-        assert oracle(bad) is False
-        assert verify(bad) is False
+        assert oracle(variant) is True and oracle(bad) is False
+        for check in KERNELS:
+            assert check(variant) is True
+            assert check(bad) is False
 
 
 @pytest.mark.parametrize(
@@ -208,7 +220,8 @@ def test_random_certificates_agree_with_the_oracle(tower):
                     for _ in range(rng.randrange(1, 4))]
         cert = Certificate(tuple(f"x{i}" for i in range(nv)), k, Monomial(tuple(exps)),
                            tower, tuple(summands))
-        assert verify(cert) is oracle(cert)
+        expected = oracle(cert)
+        assert all(check(cert) is expected for check in KERNELS)
 
 
 def test_structure_table_matches_normal_form_products():
