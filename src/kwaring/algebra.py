@@ -38,12 +38,6 @@ class TowerError(ValueError):
 # Univariate helpers over Q (dense, ascending coefficients)
 
 
-def upoly_trim(cs: list) -> list:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
 def upoly_divexact(num, den):
     """Divide exactly by a monic polynomial; raise if a remainder is left."""
     num = [as_rational(c) for c in num]

@@ -191,9 +191,10 @@ def parse(text: str) -> Certificate:
                 raise CertificateParseError("non-canonical form term list")
             terms[exps] = coeff
             order.append(exps)
-        if order != [e for e, _ in _canon_order(terms)]:
+        form = Polynomial(tower, nv, terms)
+        if order != [e for e, _ in form.sorted_terms()]:
             raise CertificateParseError("form terms out of canonical order")
-        summands.append((scalar, Polynomial(tower, nv, terms)))
+        summands.append((scalar, form))
 
     verified_raw = src.expect("verified: ")
     if verified_raw not in ("true", "false"):
@@ -214,10 +215,6 @@ def parse(text: str) -> Certificate:
         provenance=provenance,
         verified=(verified_raw == "true"),
     )
-
-
-def _canon_order(terms: dict):
-    return sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
 
 def write_certificate(cert: Certificate, path) -> None:

@@ -33,7 +33,8 @@ The constructions:
 * transformers ``group_substitute`` / ``specialize_cert`` / ``multiply_cert``
   that push certificates through monomial substitution, variable
   identification, and multiplication by N (N^k times a certificate for M is
-  a certificate for N^k M).
+  a certificate for N^k M).  Each one only moves the exponents of every
+  form's terms (``Polynomial.map_exponents``) and does no tower arithmetic.
 * ``decompose``: the full pipeline, which builds with the rank rule that
   attains classify's upper bound (see ``rank.RULES``).
 """
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
+from operator import add
 
 import numpy as np
 
@@ -88,21 +90,6 @@ class Certificate:
     @property
     def form_degree(self) -> int:
         return self.target.degree // self.k
-
-    def text(self) -> str:
-        names = self.variables
-        lines = [
-            f"target {self.target.text(names)} as a sum of {len(self.summands)} "
-            f"{self.k}-th powers of degree-{self.form_degree} forms"
-        ]
-        for gen in self.tower.generators:
-            lines.append(f"  generator {gen.name}: degree {gen.degree}")
-        for scalar, form in self.summands:
-            coef = scalar.text()
-            if len(scalar.terms) > 1:
-                coef = f"({coef})"
-            lines.append(f"  {coef} * ({form.text(names)})^{self.k}")
-        return "\n".join(lines)
 
 
 def verify(cert: Certificate) -> bool:
@@ -660,19 +647,16 @@ def group_substitute(cert: Certificate, images) -> Certificate:
     for img in images:
         if img.degree != level or img.nvars != out_nv:
             raise CertificateError("images must share one degree and variable set")
-    img_polys = {i: img.to_polynomial(cert.tower) for i, img in enumerate(images)}
-    target_exps = [0] * out_nv
-    for i, e in enumerate(cert.target.exponents):
-        if e:
-            for j, f in enumerate(images[i].exponents):
-                target_exps[j] += e * f
+    target = Monomial((0,) * out_nv)
+    for img, e in zip(images, cert.target.exponents):
+        target = target * img ** e
     new_summands = tuple(
-        (scalar, form.substitute(img_polys)) for scalar, form in cert.summands
+        (scalar, form.substitute(images)) for scalar, form in cert.summands
     )
     out = Certificate(
         variables=default_names(out_nv),
         k=cert.k,
-        target=Monomial(tuple(target_exps)),
+        target=target,
         tower=cert.tower,
         summands=new_summands,
         provenance=cert.provenance
@@ -709,9 +693,9 @@ def multiply_cert(cert: Certificate, n: Monomial) -> Certificate:
         raise CertificateError("multiplier arity differs from certificate")
     if n.is_one():
         return cert
-    n_poly = n.to_polynomial(cert.tower)
     new_summands = tuple(
-        (scalar, form * n_poly) for scalar, form in cert.summands
+        (scalar, form.map_exponents(lambda e: tuple(map(add, e, n.exponents)), form.nvars))
+        for scalar, form in cert.summands
     )
     out = Certificate(
         variables=cert.variables,

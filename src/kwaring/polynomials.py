@@ -222,37 +222,45 @@ class Polynomial:
 
     # -- structural maps -----------------------------------------------------
 
-    def substitute(self, images: dict) -> "Polynomial":
-        """Replace each variable by a polynomial (a ring homomorphism).
+    def map_exponents(self, fn, nvars: int) -> "Polynomial":
+        """Send each term's exponent tuple e to fn(e), keeping its coefficient.
 
-        Every variable that actually occurs must have an image; all images
-        share one tower (equal to this polynomial's) and one variable count.
+        Terms that land on one tuple are summed and zero sums dropped.  The
+        result has ``nvars`` variables, also when every term cancels.
         """
-        live = set()
-        for e in self.terms:
-            live.update(i for i in range(self.nvars) if e[i] > 0)
-        missing = live - set(images)
-        if missing:
-            raise ValueError(f"no image for variable(s) {sorted(missing)}")
-        if live:
-            sample = images[next(iter(live))]
-            out_nvars = sample.nvars
-        else:
-            out_nvars = self.nvars
-        for i in live:
-            img = images[i]
-            if img.tower != self.tower:
-                raise TowerError("image tower differs")
-            if img.nvars != out_nvars:
-                raise ValueError("images disagree on variable count")
-        acc = Polynomial.zero(self.tower, out_nvars)
+        out: dict = {}
         for e, c in self.terms.items():
-            t = Polynomial.constant(self.tower, out_nvars, c)
-            for i in range(self.nvars):
-                if e[i]:
-                    t = t * images[i] ** e[i]
-            acc = acc + t
-        return acc
+            key = fn(e)
+            prev = out.get(key)
+            s = c if prev is None else prev + c
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return Polynomial(self.tower, nvars, out)
+
+    def substitute(self, images) -> "Polynomial":
+        """Replace each variable x_i by the monomial images[i] (a ring homomorphism).
+
+        ``images`` holds one monomial per variable, all over one variable count.
+        """
+        if len(images) != self.nvars:
+            raise ValueError(f"{len(images)} images for {self.nvars} variables")
+        counts = {img.nvars for img in images}
+        if len(counts) > 1:
+            raise ValueError("images disagree on variable count")
+        out_nvars = counts.pop() if counts else 0
+        columns = [img.exponents for img in images]
+
+        def image(e):
+            out = [0] * out_nvars
+            for a, column in zip(e, columns):
+                if a:
+                    for j, f in enumerate(column):
+                        out[j] += a * f
+            return tuple(out)
+
+        return self.map_exponents(image, out_nvars)
 
     def specialize(self, identifications: dict) -> "Polynomial":
         """Identify variables (src -> dst), keeping the ambient variable set.
@@ -264,21 +272,11 @@ class Polynomial:
                 raise ValueError("identification index out of range")
             if dst in identifications and identifications[dst] != dst:
                 raise ValueError("chained identifications are ambiguous")
-        out: dict = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            for src, dst in identifications.items():
-                if src != dst and ne[src]:
-                    ne[dst] += ne[src]
-                    ne[src] = 0
-            key = tuple(ne)
-            prev = out.get(key)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Polynomial(self.tower, self.nvars, out)
+        n = self.nvars
+        return self.substitute([
+            Monomial(tuple(int(j == identifications.get(i, i)) for j in range(n)))
+            for i in range(n)
+        ])
 
     # -- evaluation ------------------------------------------------------------
 

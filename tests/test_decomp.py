@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from kwaring.algebra import EMPTY_TOWER
+from kwaring.algebra import EMPTY_TOWER, ExtensionTower, RingElement
 from kwaring.decomp import (
     Certificate,
     CertificateError,
@@ -225,6 +225,34 @@ def test_multiply_cert():
     cert = multiply_cert(base, Monomial((1, 2)))
     assert cert.verified and cert.target.exponents == (3, 5)
     assert multiply_cert(base, Monomial((0, 0))) is base
+
+
+def test_group_substitute_keeps_arity_of_a_cancelled_form():
+    base = two_square(Monomial((1, 1)))  # forms x0 + x1 and x0 - x1
+    with pytest.raises(MalformedCertificateError, match="nonzero homogeneous"):
+        group_substitute(base, [Monomial((1,)), Monomial((1,))])
+
+
+def test_transformers_do_no_tower_arithmetic(monkeypatch):
+    base = monomial_linear_decomp((1, 2))
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    mul = counting("RingElement.__mul__", RingElement.__mul__)
+    monkeypatch.setattr(RingElement, "__mul__", mul)
+    monkeypatch.setattr(RingElement, "__rmul__", mul)
+    monkeypatch.setattr(ExtensionTower, "normalize",
+                        counting("ExtensionTower.normalize", ExtensionTower.normalize))
+    cert = group_substitute(base, [Monomial((2, 0, 0)), Monomial((0, 1, 1))])
+    cert = specialize_cert(cert, {2: 1})
+    cert = multiply_cert(cert, Monomial((1, 0, 2)))
+    assert cert.verified and cert.target.exponents == (5, 4, 6)
+    assert calls == []
 
 
 def test_exact_point_checks():
