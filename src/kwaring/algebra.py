@@ -274,16 +274,7 @@ class ExtensionTower:
         roots: list = []
         for g in self.generators:
             # coefficients of the defining polynomial at the chosen roots
-            coeffs = []
-            for frozen in g.lower_coeffs:
-                val = 0j
-                for e, c in frozen:
-                    t = complex(c.numerator) / complex(c.denominator)
-                    for idx in range(len(e)):
-                        if e[idx]:
-                            t *= roots[idx] ** e[idx]
-                    val += t
-                coeffs.append(val)
+            coeffs = [_evaluate(frozen, roots) for frozen in g.lower_coeffs]
             coeffs.append(1.0 + 0j)  # monic leading coefficient
             rts = np.roots(list(reversed(coeffs)))
             rts = sorted(rts, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
@@ -292,6 +283,18 @@ class ExtensionTower:
             else:
                 roots.append(complex(rts[int(rng.integers(len(rts)))]))
         return tuple(roots)
+
+
+def _evaluate(terms, roots) -> complex:
+    """Numeric value of (exponents, rational) terms, generator i mapped to roots[i]."""
+    total = 0j
+    for e, c in terms:
+        t = complex(c.numerator) / complex(c.denominator)
+        for i in range(len(e)):
+            if e[i]:
+                t *= roots[i] ** e[i]
+        total += t
+    return total
 
 
 def _denominator_bound(tower: ExtensionTower) -> int:
@@ -636,11 +639,4 @@ class RingElement:
 
     def evaluate(self, roots) -> complex:
         """Numeric value with each generator mapped to the given root."""
-        total = 0j
-        for e, c in self.terms.items():
-            t = complex(c.numerator) / complex(c.denominator)
-            for i in range(len(e)):
-                if e[i]:
-                    t *= roots[i] ** e[i]
-            total += t
-        return total
+        return _evaluate(self.terms.items(), roots)

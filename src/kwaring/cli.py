@@ -18,9 +18,9 @@ import os
 import re
 import sys
 
-from .certfile import CertificateParseError, read_certificate, serialize
+from .certfile import CertificateParseError, read_certificate, serialize, write_certificate
 from .decomp import CertificateError, MalformedCertificateError, decompose, verify
-from .polynomials import Monomial
+from .polynomials import Monomial, multinomial_table
 from .rank import KInstance, classify, compare_bounds, residue_classes
 from .search import SearchProblem, search as run_search
 
@@ -80,15 +80,12 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    inst = _instance(args)
-    cert = decompose(inst)
-    text = serialize(cert)
+    cert = decompose(_instance(args))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_certificate(cert, args.out)
         print(f"wrote {args.out} ({cert.summand_count} summands)")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize(cert))
     return 0
 
 
@@ -142,24 +139,18 @@ def _cmd_compare_bounds(args) -> int:
     return 0
 
 
-def _nondecreasing_tuples(n, total):
-    def rec(remaining, slots, minimum):
-        if slots == 1:
-            if remaining >= minimum:
-                yield (remaining,)
-            return
-        for first in range(minimum, remaining + 1):
-            for rest in rec(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    return rec(total, n, 0)
-
-
 def _cmd_table(args) -> int:
     k, n, max_degree = args.k, args.n, args.max_degree
+    if n < 1:
+        raise ValueError(f"table needs n >= 1 variables, got {n}")
+    if k < 2:
+        raise ValueError(f"table needs k >= 2, got {k}")
     print("exponents\tlower\tupper\tstatus")
     for degree in range(k, max_degree + 1, k):
-        for exps in _nondecreasing_tuples(n, degree):
+        # Exponent tuples up to permutation: the nondecreasing rows, ascending.
+        for exps in multinomial_table(n, degree)[1][::-1].tolist():
+            if exps != sorted(exps):
+                continue
             bounds = classify(KInstance(Monomial(exps), k))
             status = "exact" if bounds.exact else "open"
             print("%s\t%d\t%d\t%s"

@@ -50,7 +50,7 @@ from operator import add
 import numpy as np
 
 from .algebra import EMPTY_TOWER, roots_of_unity_tower, unity_root
-from .polynomials import Monomial, Polynomial
+from .polynomials import Monomial, Polynomial, multinomial_table
 from .rationals import Q
 
 
@@ -175,30 +175,6 @@ def _expansion_work(ring, parts, k: int) -> int:
     )
 
 
-@cache
-def _leaf_table(t: int, k: int):
-    """The multinomial expansion of a t-term sum to the k-th power.
-
-    Returns every exponent assignment (b_1 .. b_t) with sum k, as a tuple of
-    tuples and as a read-only (leaves, t) int64 array, and the multinomial
-    coefficients k! / prod b_u! as a tuple of ints.
-    """
-    rows = tuple(_assignments(k, t))
-    array = np.array(rows, dtype=np.int64).reshape(len(rows), t)
-    array.flags.writeable = False
-    return rows, array, tuple(_multinomial(k, bs) for bs in rows)
-
-
-def _assignments(n: int, parts: int):
-    """Every tuple of `parts` non-negative ints summing to n."""
-    if parts == 1:
-        yield (n,)
-        return
-    for b in range(n, -1, -1):
-        for rest in _assignments(n - b, parts - 1):
-            yield (b,) + rest
-
-
 def _integer_kernel(ring, parts, k: int, target) -> bool:
     """Verdict of ``_integer_difference``: every coefficient is zero."""
     return all(v == ring.zero for v in _integer_difference(ring, parts, k, target).values())
@@ -241,8 +217,8 @@ def _expansion_plan(support: tuple, k: int):
     nv = len(support[0])
     monomials: dict = {}
     leaves = []
-    rows, _, multinomials = _leaf_table(len(support), k)
-    for bs, multi in zip(rows, multinomials):
+    _, counts, multinomials = multinomial_table(len(support), k)
+    for bs, multi in zip(counts.tolist(), multinomials):
         mono = tuple(sum(b * e[v] for b, e in zip(bs, support)) for v in range(nv))
         out = monomials.setdefault(mono, len(monomials))
         factors = tuple(t * (k + 1) + b for t, b in enumerate(bs) if b)
@@ -298,7 +274,7 @@ def _modular_kernel(ring, parts, k: int, target) -> bool:
     monomials, sums = [], []
     for support, members in groups.items():
         t = len(support)
-        _, assign, multinomials = _leaf_table(t, k)
+        _, assign, multinomials = multinomial_table(t, k)
         nleaves = len(multinomials)
         flat = [a for vectors in members for v in vectors for a in v]
         values = _residues(flat, primes).reshape(m, len(members), t + 1, n)
@@ -549,13 +525,6 @@ def product_linear(k: int) -> Certificate:
     return _must_verify(cert)
 
 
-def _multinomial(total: int, parts) -> int:
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
 def monomial_linear_decomp(exponents) -> Certificate:
     """Root-of-unity averaging decomposition of x^a into powers of linear forms.
 
@@ -571,8 +540,8 @@ def monomial_linear_decomp(exponents) -> Certificate:
     others = [i for i in range(nv) if i != i0]
     ms = {i: exps[i] + 1 for i in others}
     tower = roots_of_unity_tower(ms.values())
-    zeta = {m: unity_root(tower, m) for m in set(ms.values())}
-    c = _multinomial(degree, exps) * prod(ms.values())
+    powers = {m: [unity_root(tower, m) ** j for j in range(m)] for m in set(ms.values())}
+    c = factorial(degree) // prod(map(factorial, exps)) * prod(ms.values())
     inv_c = Q(1, c)
     variables = [Polynomial.variable(tower, nv, i) for i in range(nv)]
     summands = []
@@ -580,9 +549,9 @@ def monomial_linear_decomp(exponents) -> Certificate:
         weight = tower.one()
         form = variables[i0]
         for i, j in zip(others, js):
-            m = ms[i]
-            weight = weight * zeta[m] ** ((-j * exps[i]) % m)
-            form = form + variables[i] * zeta[m] ** (j % m)
+            row = powers[ms[i]]
+            weight = weight * row[-j * exps[i] % ms[i]]
+            form = form + variables[i] * row[j]
         summands.append((weight * inv_c, form))
     cert = Certificate(
         variables=default_names(nv),

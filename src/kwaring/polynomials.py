@@ -10,6 +10,11 @@ exponent tuple, x0-major).  Exponentiation uses binary powering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations_with_replacement
+from math import factorial, prod
+
+import numpy as np
 
 from .algebra import ExtensionTower, RingElement, TowerError
 from .rationals import Q, as_rational, is_rational
@@ -59,14 +64,33 @@ class Monomial:
             raise ValueError("negative power")
         return Monomial(tuple(e * n for e in self.exponents))
 
-    def text(self, names=None) -> str:
-        if names is None:
-            names = [f"x{i}" for i in range(len(self.exponents))]
-        parts = [f"{names[i]}^{e}" for i, e in enumerate(self.exponents) if e > 0]
+    def text(self) -> str:
+        parts = [f"x{i}^{e}" for i, e in enumerate(self.exponents) if e > 0]
         return "*".join(parts) if parts else "1"
 
     def to_polynomial(self, tower: ExtensionTower) -> "Polynomial":
         return Polynomial.monomial(tower, self.exponents, 1)
+
+
+@cache
+def multinomial_table(n: int, k: int):
+    """The multinomial expansion of an n-term sum to the k-th power.
+
+    One row per k-multiset of the positions 0..n-1, in
+    ``combinations_with_replacement`` order, given three ways: the positions
+    as a read-only (rows, k) array, the counts b (the row's exponent tuple,
+    so rows run in descending lexicographic order) as a read-only (rows, n)
+    int64 array, and the multinomial coefficients k! / prod b_u! as a tuple
+    of ints.
+    """
+    rows = list(combinations_with_replacement(range(n), k))
+    positions = np.array(rows, dtype=np.intp).reshape(len(rows), k)
+    counts = np.zeros((len(rows), n), dtype=np.int64)
+    np.add.at(counts, (np.arange(len(rows))[:, None], positions), 1)
+    positions.flags.writeable = counts.flags.writeable = False
+    multinomials = tuple(factorial(k) // prod(factorial(row.count(u)) for u in set(row))
+                         for row in rows)
+    return positions, counts, multinomials
 
 
 def _order_key(e):
@@ -309,7 +333,7 @@ class Polynomial:
 
     # -- output ------------------------------------------------------------
 
-    def text(self, names=None) -> str:
+    def text(self) -> str:
         if not self.terms:
             return "0"
         parts = []
@@ -317,7 +341,7 @@ class Polynomial:
             coef = c.text()
             if len(c.terms) > 1:
                 coef = f"({coef})"
-            mono = Monomial(e).text(names)
+            mono = Monomial(e).text()
             parts.append(coef if mono == "1" else f"{coef}*{mono}")
         return " + ".join(parts)
 

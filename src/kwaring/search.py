@@ -18,9 +18,10 @@ factor.  Because the residual is holomorphic in the parameters, complex
 normal equations coincide with real ones on interleaved (re, im) pairs.
 
 Powers are evaluated from index tables that each problem builds on first
-use and keeps.  For p in {k, k-1} the table lists every p-multiset of
-form-basis positions, its multinomial weight and the position of its product
-monomial in the degree-pd basis.  The residual is then a gather of the
+use and keeps, from the shared ``polynomials.multinomial_table``.  For p in
+{k, k-1} the table lists every p-multiset of form-basis positions, its
+multinomial weight and the position of its product monomial in the
+degree-pd basis.  The residual is then a gather of the
 s x B coefficient matrix, a product along each multiset, the weights, a sum
 over summands and one scatter-add; the Jacobian builds each G_j^{k-1} the
 same way and places k * G_j^{k-1} through a shift table mapping basis
@@ -65,24 +66,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
-from math import factorial, prod
 
 import numpy as np
 
-from .polynomials import Monomial
+from .polynomials import Monomial, multinomial_table
+
+# Per-restart limits of the minimizer (see "Minimizer policy" above).
+MAX_ITER = 500
+STALL_ITERS = 25
 
 
 def _degree_basis(nvars: int, degree: int):
-    """All exponent tuples of the given total degree, lexicographic."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        exps = [0] * nvars
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    out.sort()
-    return out
+    """All exponent tuples of the given total degree, lexicographic: the
+    multinomial table's counts read bottom up."""
+    return [tuple(row) for row in multinomial_table(nvars, degree)[1][::-1].tolist()]
 
 
 class SearchProblem:
@@ -133,13 +130,10 @@ class SearchProblem:
 def _multiset_table(basis, power: int, index):
     """Every power-multiset of basis positions, as (positions (M, power),
     multinomial weights (M,), index of the product monomial in ``index``)."""
-    positions = np.array(list(combinations_with_replacement(range(len(basis)), power)),
-                         dtype=np.intp)
+    positions, _, multinomials = multinomial_table(len(basis), power)
     exponents = np.asarray(basis)[positions].sum(axis=1)
     targets = np.array([index[e] for e in map(tuple, exponents.tolist())], dtype=np.intp)
-    weights = np.array([factorial(power) // prod(factorial(row.count(b)) for b in set(row))
-                        for row in positions.tolist()], dtype=float)
-    return positions, weights, targets
+    return positions, np.array(multinomials, dtype=float), targets
 
 
 def residual_vector(problem: SearchProblem, params):
@@ -203,8 +197,7 @@ class SearchResult:
     restarts: tuple = ()  # one RestartRecord per restart run
 
 
-def _lm_minimize(problem: SearchProblem, start, tolerance: float,
-                 max_iter: int = 500, stall_iters: int = 25):
+def _lm_minimize(problem: SearchProblem, start, tolerance: float):
     """One damped least-squares descent; returns (params, RestartRecord)."""
     params = np.asarray(start, dtype=complex).copy()
     r = residual_vector(problem, params)
@@ -218,7 +211,7 @@ def _lm_minimize(problem: SearchProblem, start, tolerance: float,
     since_improved = 0
     iterations = 0
     stop = "max_iter"
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if norm < tolerance:
             break
         J = _jacobian(problem, params)
@@ -259,7 +252,7 @@ def _lm_minimize(problem: SearchProblem, start, tolerance: float,
             since_improved = 0
         else:
             since_improved += 1
-            if since_improved >= stall_iters:
+            if since_improved >= STALL_ITERS:
                 stop = "stalled"
                 break
     if norm < tolerance:

@@ -2,6 +2,7 @@
 WARING_SEED, and byte stability.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -166,6 +167,29 @@ def test_table_output(capsys):
     assert "2,2\t3\t3\texact" in lines
     # non-decreasing exponent canonicalization: no (3,1) row
     assert not any(line.startswith("3,1\t") for line in lines)
+
+
+def test_table_rows_are_pinned(capsys):
+    # Every row and its order: the sha256 of this command's stdout before the
+    # table rows came from polynomials.multinomial_table.
+    assert main(["table", "-k", "4", "-n", "4", "--max-degree", "12"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8e4e4498557096150baa6a20d7798b67b9676d87ea5234f0f72a68090b0d9e0c"
+    )
+
+
+@pytest.mark.parametrize("size, bound", [
+    (["-k", "2", "-n", "0"], "n >= 1"),
+    (["-k", "2", "-n", "-1"], "n >= 1"),
+    (["-k", "0", "-n", "2"], "k >= 2"),
+    (["-k", "1", "-n", "2"], "k >= 2"),
+])
+def test_table_refuses_bad_sizes(capsys, size, bound):
+    assert main(["table", *size, "--max-degree", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and bound in captured.err
 
 
 def test_unknown_flag_exits_2():

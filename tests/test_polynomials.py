@@ -4,12 +4,14 @@ Exponentiation is cross-checked against repeated multiplication and against
 numeric evaluation; substitute is checked as a ring homomorphism.
 """
 
+import itertools
+import math
 import random
 
 import pytest
 
 from kwaring.algebra import EMPTY_TOWER, roots_of_unity_tower, unity_root
-from kwaring.polynomials import Monomial, Polynomial
+from kwaring.polynomials import Monomial, Polynomial, multinomial_table
 from kwaring.rationals import Q
 
 
@@ -37,6 +39,25 @@ def test_monomial_kth_root():
 
 def _x(tower, nvars, i):
     return Polynomial.variable(tower, nvars, i)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_multinomial_table_matches_an_independent_oracle(n, k):
+    positions, counts, multinomials = multinomial_table(n, k)
+    expected = sorted((b for b in itertools.product(range(k + 1), repeat=n) if sum(b) == k),
+                      reverse=True)
+    assert [tuple(row) for row in counts.tolist()] == expected
+    assert [tuple(row) for row in positions.tolist()] == list(
+        itertools.combinations_with_replacement(range(n), k))
+    assert len(multinomials) == math.comb(n + k - 1, k)
+    assert multinomials == tuple(
+        math.factorial(k) // math.prod(map(math.factorial, b)) for b in expected)
+    assert sum(multinomials) == n ** k
+    for array in (positions, counts):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
 
 
 def test_constructors_and_queries():
