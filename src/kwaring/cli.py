@@ -20,7 +20,7 @@ import sys
 
 from .certfile import CertificateParseError, read_certificate, serialize, write_certificate
 from .decomp import CertificateError, MalformedCertificateError, decompose, verify
-from .polynomials import Monomial, multinomial_table
+from .polynomials import Monomial
 from .rank import KInstance, classify, compare_bounds, residue_classes
 from .search import SearchProblem, search as run_search
 
@@ -139,6 +139,19 @@ def _cmd_compare_bounds(args) -> int:
     return 0
 
 
+def _nondecreasing_tuples(n, total):
+    def rec(remaining, slots, minimum):
+        if slots == 1:
+            if remaining >= minimum:
+                yield (remaining,)
+            return
+        for first in range(minimum, remaining + 1):
+            for rest in rec(remaining - first, slots - 1, first):
+                yield (first,) + rest
+
+    return rec(total, n, 0)
+
+
 def _cmd_table(args) -> int:
     k, n, max_degree = args.k, args.n, args.max_degree
     if n < 1:
@@ -147,10 +160,7 @@ def _cmd_table(args) -> int:
         raise ValueError(f"table needs k >= 2, got {k}")
     print("exponents\tlower\tupper\tstatus")
     for degree in range(k, max_degree + 1, k):
-        # Exponent tuples up to permutation: the nondecreasing rows, ascending.
-        for exps in multinomial_table(n, degree)[1][::-1].tolist():
-            if exps != sorted(exps):
-                continue
+        for exps in _nondecreasing_tuples(n, degree):
             bounds = classify(KInstance(Monomial(exps), k))
             status = "exact" if bounds.exact else "open"
             print("%s\t%d\t%d\t%s"

@@ -10,9 +10,9 @@ exponent tuple, x0-major).  Exponentiation uses binary powering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations_with_replacement
-from math import factorial, prod
+from functools import lru_cache
+from itertools import chain, combinations_with_replacement
+from math import comb, factorial
 
 import numpy as np
 
@@ -72,7 +72,12 @@ class Monomial:
         return Polynomial.monomial(tower, self.exponents, 1)
 
 
-@cache
+# Sizes kept by ``multinomial_table``; a search problem reads four, a verify
+# one per support size.
+TABLE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def multinomial_table(n: int, k: int):
     """The multinomial expansion of an n-term sum to the k-th power.
 
@@ -83,13 +88,14 @@ def multinomial_table(n: int, k: int):
     int64 array, and the multinomial coefficients k! / prod b_u! as a tuple
     of ints.
     """
-    rows = list(combinations_with_replacement(range(n), k))
-    positions = np.array(rows, dtype=np.intp).reshape(len(rows), k)
-    counts = np.zeros((len(rows), n), dtype=np.int64)
-    np.add.at(counts, (np.arange(len(rows))[:, None], positions), 1)
+    rows = comb(n + k - 1, k)
+    positions = np.fromiter(chain.from_iterable(combinations_with_replacement(range(n), k)),
+                            dtype=np.intp, count=rows * k).reshape(rows, k)
+    counts = np.zeros((rows, n), dtype=np.int64)
+    np.add.at(counts, (np.arange(rows)[:, None], positions), 1)
     positions.flags.writeable = counts.flags.writeable = False
-    multinomials = tuple(factorial(k) // prod(factorial(row.count(u)) for u in set(row))
-                         for row in rows)
+    factorials = np.array([factorial(b) for b in range(k + 1)], dtype=object)
+    multinomials = tuple((factorials[k] // factorials[counts].prod(axis=1)).tolist())
     return positions, counts, multinomials
 
 

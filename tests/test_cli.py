@@ -4,6 +4,7 @@ WARING_SEED, and byte stability.
 
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 
@@ -170,13 +171,33 @@ def test_table_output(capsys):
 
 
 def test_table_rows_are_pinned(capsys):
-    # Every row and its order: the sha256 of this command's stdout before the
-    # table rows came from polynomials.multinomial_table.
+    # Every row and its order, pinned by the sha256 of this command's stdout.
     assert main(["table", "-k", "4", "-n", "4", "--max-degree", "12"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8e4e4498557096150baa6a20d7798b67b9676d87ea5234f0f72a68090b0d9e0c"
     )
+
+
+def test_table_lists_only_partitions_with_many_variables():
+    # 40 variables, degrees 5 and 10: p(5) + p(10) = 7 + 42 rows, out of
+    # C(44, 5) + C(49, 10) (about 8e9) exponent tuples.  The child's address
+    # space is capped, so listing every tuple fails here rather than filling
+    # the machine's memory; one BLAS thread keeps numpy's own reservation
+    # under the cap.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    res = subprocess.run(CLI + ["table", "-k", "5", "-n", "40", "--max-degree", "10"],
+                         capture_output=True, text=True, env=env, preexec_fn=cap)
+    assert res.returncode == 0, res.stderr
+    rows = [line.split("\t")[0] for line in res.stdout.splitlines()[1:]]
+    assert len(rows) == 7 + 42
+    assert rows[0] == ",".join(["0"] * 39 + ["5"])
+    assert all(tuple(map(int, r.split(","))) == tuple(sorted(map(int, r.split(","))))
+               for r in rows)
 
 
 @pytest.mark.parametrize("size, bound", [
