@@ -100,10 +100,11 @@ def _cmd_verify(args) -> int:
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("WARING_SEED", "0")
     try:
-        return int(os.environ.get("WARING_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"WARING_SEED must be an integer, got {raw!r}") from None
 
 
 def _cmd_search(args) -> int:

@@ -28,10 +28,10 @@ same way and places k * G_j^{k-1} through a shift table mapping basis
 monomial b and degree-(k-1)d position i to the position of their product.
 
 Minimizer policy (all deterministic):
-  * steps solve the augmented least-squares system min |[J; sqrt(l) I] d +
-    [r; 0]| rather than the normal equations, keeping the conditioning at
-    cond(J) instead of cond(J)^2 so true zero-residual minima are reachable
-    to ~1e-12 in the residual norm;
+  * one thin SVD J = U diag(sig) V^H per iteration serves the damped solves
+    of all its attempts: min |[J; sqrt(l) I] d + [b; 0]| is attained at
+    d = -V (sig / (sig^2 + l) * U^H b) for any shape or rank of J; J^H J is
+    never formed, so the conditioning stays cond(J), not cond(J)^2;
   * the damping l follows a gain-ratio schedule (divide by up to 3 on a
     good step, multiply by a doubling factor on rejection);
   * each step adds a geodesic-acceleration correction (second directional
@@ -42,8 +42,10 @@ Minimizer policy (all deterministic):
   * a restart stops after 500 iterations, or when the residual norm improves
     by less than 1e-14 over 25 consecutive iterations;
   * each restart leaves a RestartRecord: accepted steps, stop reason
-    (converged, stalled, max_iter or no_step), final residual norm and final
-    damping.
+    (converged, stalled, max_iter or no_step), final residual norm, final
+    damping, largest final |coefficient|, and the drop in log10 of the
+    residual norm per accepted step over the last 25 (or all, if fewer)
+    accepted steps.
 
 Convergence means the Euclidean NORM of the mismatch vector (sqrt of E)
 fell below the tolerance.  The norm is the reported best_residual.  This is
@@ -64,6 +66,9 @@ exists.
 
 from __future__ import annotations
 
+import math
+import sys
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -186,6 +191,8 @@ class RestartRecord:
     stop: str  # converged, stalled, max_iter or no_step
     residual: float  # final residual norm
     damping: float  # final damping lambda
+    max_coeff: float  # largest |parameter| at the end
+    decay: float  # log10 residual-norm drop per accepted step, last STALL_ITERS steps
 
 
 @dataclass(frozen=True)
@@ -197,6 +204,11 @@ class SearchResult:
     restarts: tuple = ()  # one RestartRecord per restart run
 
 
+def _damped_solve(U, sig, Vh, b, lam: float):
+    """argmin over d of |J d - b|^2 + lam |d|^2, given J = U diag(sig) Vh."""
+    return Vh.conj().T @ (sig / (sig * sig + lam) * (U.conj().T @ b))
+
+
 def _lm_minimize(problem: SearchProblem, start, tolerance: float):
     """One damped least-squares descent; returns (params, RestartRecord)."""
     params = np.asarray(start, dtype=complex).copy()
@@ -204,10 +216,8 @@ def _lm_minimize(problem: SearchProblem, start, tolerance: float):
     err = float(np.real(np.vdot(r, r)))
     norm = err ** 0.5
     lam, nu = 1e-3, 2.0
-    n = problem.nparams
-    eye = np.eye(n)
-    zero_tail = np.zeros(n, dtype=complex)
     best_recent = norm
+    recent = deque([norm], maxlen=STALL_ITERS + 1)  # norms before and after the last steps
     since_improved = 0
     iterations = 0
     stop = "max_iter"
@@ -215,17 +225,15 @@ def _lm_minimize(problem: SearchProblem, start, tolerance: float):
         if norm < tolerance:
             break
         J = _jacobian(problem, params)
+        U, sig, Vh = np.linalg.svd(J, full_matrices=False)
         stepped = False
         for _attempt in range(16):
-            aug = np.vstack([J, (lam ** 0.5) * eye])
-            delta, *_ = np.linalg.lstsq(aug, -np.concatenate([r, zero_tail]),
-                                        rcond=None)
+            delta = _damped_solve(U, sig, Vh, -r, lam)
             h = 0.1
             r_plus = residual_vector(problem, params + h * delta)
             r_minus = residual_vector(problem, params - h * delta)
             second = (r_plus - 2.0 * r + r_minus) / (h * h)
-            accel, *_ = np.linalg.lstsq(aug, -0.5 * np.concatenate([second, zero_tail]),
-                                        rcond=None)
+            accel = _damped_solve(U, sig, Vh, -0.5 * second, lam)
             if np.linalg.norm(accel) > 0.75 * np.linalg.norm(delta):
                 accel = 0.0
             trial = params + delta + accel
@@ -247,6 +255,7 @@ def _lm_minimize(problem: SearchProblem, start, tolerance: float):
             stop = "no_step"
             break
         iterations += 1
+        recent.append(norm)
         if best_recent - norm > 1e-14:
             best_recent = norm
             since_improved = 0
@@ -257,7 +266,12 @@ def _lm_minimize(problem: SearchProblem, start, tolerance: float):
                 break
     if norm < tolerance:
         stop = "converged"
-    return params, RestartRecord(iterations, stop, norm, lam)
+    decay = 0.0
+    if iterations:  # accepted steps only lower the norm, so recent[0] > 0
+        drop = math.log10(recent[0]) - math.log10(max(recent[-1], sys.float_info.min))
+        decay = drop / (len(recent) - 1)
+    return params, RestartRecord(iterations, stop, norm, lam,
+                                 float(np.max(np.abs(params))), decay)
 
 
 def search(problem: SearchProblem, restarts: int = 50, tolerance: float = 1e-10,
@@ -265,8 +279,8 @@ def search(problem: SearchProblem, restarts: int = 50, tolerance: float = 1e-10,
     """Multi-start damped least squares; deterministic for a given seed."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     best_norm = float("inf")
     best_params = np.zeros(problem.nparams, dtype=complex)
     records = []

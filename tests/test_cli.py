@@ -4,7 +4,9 @@ WARING_SEED, and byte stability.
 
 import hashlib
 import os
+import pathlib
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ from kwaring.cli import main, parse_monomial
 from kwaring.decomp import greedy_split, verify
 
 CLI = [sys.executable, "-m", "kwaring"]
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, env_extra=None):
@@ -144,6 +147,45 @@ def test_in_process_calls_read_seed_env_each_time(monkeypatch, capsys):
     first = capsys.readouterr().out
     assert main(rank) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_search_refuses_non_finite_or_non_positive_tolerance(tol, capsys):
+    # an infinite tolerance used to report convergence at any residual
+    assert main(["search", "-k", "3", "-s", "1", "--restarts", "1", "--tol", tol,
+                 "x0^4 x1 x2"]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance" in captured.err and "converged" not in captured.out
+
+
+def test_malformed_seed_env_exits_2(monkeypatch, capsys):
+    argv = ["search", "-k", "2", "-s", "2", "--restarts", "1", "1,1"]
+    for bad in ("abc", "1.5", ""):
+        monkeypatch.setenv("WARING_SEED", bad)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "WARING_SEED" in captured.err and captured.out == ""
+    assert main(argv + ["--seed", "4"]) == 0
+    assert "seed: 4\n" in capsys.readouterr().out
+    monkeypatch.delenv("WARING_SEED")
+    assert main(argv) == 0
+    assert "seed: 0\n" in capsys.readouterr().out
+
+
+def test_readme_search_example(monkeypatch, capsys):
+    # the README's search block, run as printed; only the residual's low digits may move
+    block = README.read_text().split("$ kwaring search ", 1)[1].split("```", 1)[0]
+    command, *documented = block.strip().splitlines()
+    monkeypatch.delenv("WARING_SEED", raising=False)
+    assert main(["search"] + shlex.split(command)) == 0
+    printed = capsys.readouterr().out.splitlines()
+    label = "best residual: "
+    for lines in (documented, printed):
+        tolerance = float(next(line for line in lines if line.startswith("tolerance: "))[11:])
+        residuals = [float(line[len(label):]) for line in lines if line.startswith(label)]
+        assert len(residuals) == 1 and residuals[0] < tolerance
+    assert ([line for line in printed if not line.startswith(label)]
+            == [line for line in documented if not line.startswith(label)])
 
 
 def test_classes_output(capsys):

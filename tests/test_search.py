@@ -5,6 +5,9 @@ derivatives of the squared error in the real and imaginary parameter parts;
 finite differences check exactly that pairing.
 """
 
+import importlib
+import math
+
 import numpy as np
 import pytest
 
@@ -16,10 +19,15 @@ from kwaring.search import (
     params_from_certificate,
     probe_open_case,
     residual,
+    _damped_solve,
     _jacobian,
+    _lm_minimize,
     residual_vector,
     search,
 )
+
+# the module itself: the package attribute kwaring.search is the function
+search_module = importlib.import_module("kwaring.search")
 
 
 def test_problem_validation():
@@ -205,6 +213,79 @@ def test_restart_records_match_verdict():
             assert "converged" not in stops
         assert result.best_residual == min(r.residual for r in result.restarts)
         assert all(0 <= r.iterations <= 500 and r.damping > 0 for r in result.restarts)
+        best = min(range(len(stops)), key=lambda i: result.restarts[i].residual)
+        assert result.restarts[best].max_coeff == np.max(np.abs(result.best_params))
+        # accepted steps only lower the norm
+        assert all(r.decay >= 0 and math.isfinite(r.max_coeff) for r in result.restarts)
+        assert all(r.decay > 0 for r in result.restarts if r.stop == "converged")
+
+
+def test_restart_decay_spans_the_last_stall_window(monkeypatch):
+    # fewer accepted steps than the window: the drop since the start, per step
+    problem = SearchProblem(Monomial((1, 1)), 2, 2)
+    start = np.full(problem.nparams, 0.3 + 0.1j)
+    _, record = _lm_minimize(problem, start, 1e-10)
+    assert record.stop == "converged" and 0 < record.iterations < search_module.STALL_ITERS
+    drop = math.log10(residual(problem, start) ** 0.5) - math.log10(record.residual)
+    assert record.decay == pytest.approx(drop / record.iterations, rel=1e-12)
+    # a full run: the drop over its last STALL_ITERS steps, read from a run cut that
+    # many steps earlier from the same start
+    problem = SearchProblem(Monomial((1, 2)), 3, 2)
+    start = np.linspace(-0.5, 0.5, problem.nparams) * (1 + 0.5j)
+    _, full = _lm_minimize(problem, start, 1e-10)
+    assert full.stop == "max_iter"
+    window = search_module.STALL_ITERS
+    monkeypatch.setattr(search_module, "MAX_ITER", search_module.MAX_ITER - window)
+    _, cut = _lm_minimize(problem, start, 1e-10)
+    drop = math.log10(cut.residual) - math.log10(full.residual)
+    assert full.decay == pytest.approx(drop / window, rel=1e-12)
+
+
+def test_damped_solve_matches_augmented_lstsq():
+    # The reference is lstsq on [J; sqrt(lam) I] d = [b; 0].  At lam = 1e40 that solve
+    # returns exactly zero (sqrt(lam) swamps J), so there the reference is
+    # (J^H J + lam I)^-1 J^H b, whose matrix has condition ~1 at that damping.  The
+    # rank-deficient J gets b in its range: otherwise rounding in J's zero singular
+    # values moves the minimiser by about |b| * 1e-16 |J| / lam, whatever the method.
+    rng = np.random.default_rng(2718)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    tall, wide, deficient = gaussian(12, 5), gaussian(4, 9), gaussian(10, 3) @ gaussian(3, 7)
+    for shape, J, b in (("tall", tall, gaussian(12)), ("wide", wide, gaussian(4)),
+                        ("rank-deficient", deficient, deficient @ gaussian(7))):
+        n = J.shape[1]
+        U, sig, Vh = np.linalg.svd(J, full_matrices=False)
+        for lam in (1e-6, 1e-3, 1.0, 1e40):
+            if lam < 1e40:
+                aug = np.vstack([J, lam ** 0.5 * np.eye(n)])
+                expected, *_ = np.linalg.lstsq(aug, np.concatenate([b, np.zeros(n)]), rcond=None)
+            else:
+                expected = np.linalg.solve(J.conj().T @ J + lam * np.eye(n), J.conj().T @ b)
+            got = _damped_solve(U, sig, Vh, b, lam)
+            assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected), (shape, lam)
+
+
+def test_one_svd_per_jacobian_and_no_lstsq(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("_jacobian", "_damped_solve"):
+        monkeypatch.setattr(search_module, name, counting(name, getattr(search_module, name)))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    result = search(SearchProblem(Monomial((1, 3)), 2, 1), restarts=1, seed=0)
+    assert result.restarts[0].stop == "no_step"
+    assert calls.count("svd") == calls.count("_jacobian") > 0
+    # two solves per attempt, and the last factorisation served 16 rejected attempts
+    assert calls.count("_damped_solve") >= 2 * (calls.count("svd") + 15)
+    assert "lstsq" not in calls
 
 
 # Verdicts at restarts=1, seed=0: every problem with 2-3 variables, d = 1..2,
