@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import lcm, prod
-import operator
 
 import numpy as np
 
@@ -258,8 +257,7 @@ class ExtensionTower:
         """Integer arithmetic on this tower, built once per tower instance."""
         structure = self._integer
         if structure is None:
-            kind = IntegerStructure if self.generators else _RationalStructure
-            structure = kind(self)
+            structure = IntegerStructure(self)
             object.__setattr__(self, "_integer", structure)
         return structure
 
@@ -335,6 +333,7 @@ class IntegerStructure:
     cyclotomic towers), so ``mul(x, y)`` returns L*x*y and a product of r
     factors carries L^(r-1).  Table rows are filled lazily, only for the
     pairs that occur; ``row_norm`` and ``table_mod`` fill all of them.
+    The empty tower Q is the size-1 case: L = 1 and an element is ``[n]``.
     """
 
     def __init__(self, tower: ExtensionTower):
@@ -416,10 +415,6 @@ class IntegerStructure:
             self._tables_mod[primes] = table
         return table
 
-    def vector(self, x) -> list:
-        """An element as its list of basis coefficients."""
-        return x
-
     def mul(self, x, y):
         n, rows = self.size, self._rows
         out = [0] * n
@@ -446,30 +441,6 @@ class IntegerStructure:
 
     def product(self, factors):
         return reduce(self.mul, factors)
-
-
-class _RationalStructure(IntegerStructure):
-    """The empty tower: elements are plain ints and L = 1."""
-
-    def __init__(self, tower: ExtensionTower):
-        self.tower = tower
-        self.size = self.denominator = self.one = 1
-        self.zero = 0
-        self._strides = ()
-        self._rows = [((0, 1),)]
-        self._tables_mod = {}
-
-    def clear(self, elements):
-        values, den = super().clear(elements)
-        return [v[0] for v in values], den
-
-    def vector(self, x) -> list:
-        return [x]
-
-    mul = staticmethod(operator.mul)
-    add = staticmethod(operator.add)
-    scale = staticmethod(operator.mul)
-    product = staticmethod(prod)
 
 
 EMPTY_TOWER = ExtensionTower()

@@ -99,16 +99,23 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("WARING_SEED", "0")
+def _seed(flag) -> int:
+    """The search seed: --seed if given, else WARING_SEED, else 0."""
+    if flag is None:
+        name, raw = "WARING_SEED", os.environ.get("WARING_SEED", "0")
+    else:
+        name, raw = "--seed", flag
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise ValueError(f"WARING_SEED must be an integer, got {raw!r}") from None
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _cmd_search(args) -> int:
-    seed = _default_seed() if args.seed is None else args.seed
+    seed = _seed(args.seed)
     monomial = parse_monomial(args.monomial)
     problem = SearchProblem(monomial, args.k, args.s)
     result = run_search(problem, restarts=args.restarts, tolerance=args.tol,

@@ -7,19 +7,17 @@ A certificate records a claimed identity
 with M a monomial of degree k*d, the G_j homogeneous degree-d forms and the
 c_j scalars, everything over one extension tower.  ``verify`` re-expands the
 right side exactly, never in floating point: denominators are cleared once
-and tower elements become integer vectors (plain ints over Q).  Small
-expansions run in Python ints.  Large ones run in numpy int64 modulo primes
-just below 2^26 whose product exceeds a certified bound H on every
-coefficient of the difference, so a difference that vanishes modulo every
-prime vanishes exactly.  Either way a True verdict proves the identity.
+and tower elements become integer vectors, ``[n]`` over Q.  Small expansions
+run in Python ints.  Large ones run in numpy int64 modulo primes just below
+2^26 whose product exceeds a certified bound H on every coefficient of the
+difference, so a difference that vanishes modulo every prime vanishes
+exactly.  Either way a True verdict proves the identity.
 No construction in this module returns an unverified certificate.
 
 The constructions:
 
 * ``two_square``: M = X*Y gives (1/4)(X+Y)^2 - (1/4)(X-Y)^2 (the imaginary
   unit of the underlying two-square identity folded into the scalar).
-* ``product_linear``: k! 2^(k-1) X1...Xk = sum over sign vectors
-  e in {1} x {+-1}^(k-1) of (prod e_i) (X1 + e_2 X2 + ... + e_k Xk)^k.
 * ``monomial_linear_decomp``: root-of-unity averaging.  With a_min at
   position i0 and m_i = a_i + 1 elsewhere,
 
@@ -28,20 +26,24 @@ The constructions:
   where w_i is a primitive m_i-th root of unity, D = deg x^a and
   c = multinomial(D; a) * prod m_i.  Exactly prod m_i summands, which is the
   monomial's rank in powers of linear forms.
+* ``product_linear``: the averaging for x0...x(k-1), whose roots are +-1:
+  k! 2^(k-1) X1...Xk = sum over sign vectors e in {1} x {+-1}^(k-1) of
+  (prod e_i) (X1 + e_2 X2 + ... + e_k Xk)^k.
 * ``special_x04x1x2``: x0^4 x1 x2 as a sum of three cubes over the tower
   u^2 = 1/6, v^3 = -2.
 * transformers ``group_substitute`` / ``specialize_cert`` / ``multiply_cert``
   that push certificates through monomial substitution, variable
   identification, and multiplication by N (N^k times a certificate for M is
   a certificate for N^k M).  Each one only moves the exponents of every
-  form's terms (``Polynomial.map_exponents``) and does no tower arithmetic.
+  form's terms (``Polynomial.map_exponents``), does no tower arithmetic, and
+  builds its result through ``_transformed``.
 * ``decompose``: the full pipeline, which builds with the rank rule that
   attains classify's upper bound (see ``rank.RULES``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
@@ -100,13 +102,14 @@ def verify(cert: Certificate) -> bool:
     expansion differs from the target returns False.  True means the
     identity is proven exactly.
 
-    Each summand's form and scalar are cleared to integer vectors over their
-    least common denominators D and D_s, and the summands are brought to one
-    common denominator.  Small expansions run in Python ints
-    (``_integer_kernel``); from ``MODULAR_MIN_WORK`` on, the expansion runs
-    in numpy int64 modulo primes whose product exceeds a certified bound on
-    every coefficient of the difference (``_modular_kernel``), so a zero
-    residue there is a zero coefficient as well.
+    Each summand's form and scalar are cleared to integer vectors (of length
+    1 over Q) over their least common denominators D and D_s, and the
+    summands are brought to one common denominator.  Small expansions run in
+    Python ints (``_integer_kernel``); from ``MODULAR_MIN_WORK`` on, the
+    expansion runs in numpy int64 modulo primes whose product exceeds a
+    certified bound on every coefficient of the difference
+    (``_modular_kernel``), so a zero residue there is a zero coefficient as
+    well.
     """
     args = _cleared(cert)
     ring, parts, k, _ = args
@@ -269,7 +272,7 @@ def _modular_kernel(ring, parts, k: int, target) -> bool:
     groups: dict = {}
     for (support, coeffs, _, s, _), den in zip(parts, dens):
         groups.setdefault(support, []).append(
-            [ring.vector(c) for c in coeffs] + [ring.vector(ring.scale(s, common // den))]
+            list(coeffs) + [ring.scale(s, common // den)]
         )
     monomials, sums = [], []
     for support, members in groups.items():
@@ -316,7 +319,7 @@ def _mul_mod(x, y, table, pcol):
     """``mul`` on equal-shaped stacks of tower vectors (primes, ..., size)
     mod each prime: an outer product, then a matmul with the table."""
     m, n = x.shape[0], x.shape[-1]
-    if n == 1:  # plain Q, whose table is [[[1]]]
+    if n == 1:  # the empty tower Q, whose table is [[[1]]]
         return (x.reshape(m, -1, 1) * y.reshape(m, -1, 1) % pcol).reshape(x.shape)
     outer = (x.reshape(m, -1, n, 1) * y.reshape(m, -1, 1, n)).reshape(m, -1, n * n) % pcol
     return (outer @ table % pcol).reshape(x.shape)
@@ -348,7 +351,7 @@ def _height_bound(ring, parts, k: int) -> int:
     rho = ring.row_norm
 
     def norm(x) -> int:
-        return sum(abs(a) for a in ring.vector(x))
+        return sum(abs(a) for a in x)
 
     return common + sum(
         common // den * norm(s) * rho ** (k + len(support) - 1)
@@ -500,29 +503,12 @@ def two_square(monomial: Monomial, split=None) -> Certificate:
 
 
 def product_linear(k: int) -> Certificate:
-    """x0*...*x(k-1) as 2^(k-1) k-th powers of signed linear forms."""
+    """x0*...*x(k-1) as 2^(k-1) k-th powers of signed linear forms: the
+    root-of-unity averaging certificate for exponents (1, ..., 1)."""
     if k < 2:
         raise CertificateError("k must be >= 2")
-    tower = EMPTY_TOWER
-    nv = k
-    c = factorial(k) * 2 ** (k - 1)
-    variables = [Polynomial.variable(tower, nv, i) for i in range(nv)]
-    summands = []
-    for eps in iproduct((1, -1), repeat=k - 1):
-        sign = prod(eps)
-        form = variables[0]
-        for i, e in enumerate(eps, start=1):
-            form = form + (variables[i] if e == 1 else -variables[i])
-        summands.append((tower.scalar(Q(sign, c)), form))
-    cert = Certificate(
-        variables=default_names(nv),
-        k=k,
-        target=Monomial((1,) * k),
-        tower=tower,
-        summands=tuple(summands),
-        provenance=(f"alternating-sign product identity, k={k}",),
-    )
-    return _must_verify(cert)
+    return replace(monomial_linear_decomp((1,) * k),
+                   provenance=(f"alternating-sign product identity, k={k}",))
 
 
 def monomial_linear_decomp(exponents) -> Certificate:
@@ -542,17 +528,22 @@ def monomial_linear_decomp(exponents) -> Certificate:
     tower = roots_of_unity_tower(ms.values())
     powers = {m: [unity_root(tower, m) ** j for j in range(m)] for m in set(ms.values())}
     c = factorial(degree) // prod(map(factorial, exps)) * prod(ms.values())
-    inv_c = Q(1, c)
-    variables = [Polynomial.variable(tower, nv, i) for i in range(nv)]
+    inv_c = tower.scalar(Q(1, c))
+    one = tower.one()
+    units = [tuple(int(v == i) for v in range(nv)) for i in range(nv)]
     summands = []
     for js in iproduct(*[range(ms[i]) for i in others]):
-        weight = tower.one()
-        form = variables[i0]
+        # prod_i w_i^(-j_i a_i), summed in the exponent per root order
+        shift = dict.fromkeys(powers, 0)
+        terms = {units[i0]: one}
         for i, j in zip(others, js):
-            row = powers[ms[i]]
-            weight = weight * row[-j * exps[i] % ms[i]]
-            form = form + variables[i] * row[j]
-        summands.append((weight * inv_c, form))
+            m = ms[i]
+            shift[m] -= j * exps[i]
+            terms[units[i]] = powers[m][j]
+        weight = inv_c
+        for m, e in shift.items():
+            weight = weight * powers[m][e % m]
+        summands.append((weight, Polynomial(tower, nv, terms)))
     cert = Certificate(
         variables=default_names(nv),
         k=degree,
@@ -597,6 +588,15 @@ def special_x04x1x2() -> Certificate:
 # Certificate transformers
 
 
+def _transformed(cert: Certificate, variables, target: Monomial, form_map,
+                 note: str) -> Certificate:
+    """``cert`` with ``form_map`` applied to every form, the new variables
+    and target, and ``note`` appended to its provenance; verified."""
+    summands = tuple((scalar, form_map(form)) for scalar, form in cert.summands)
+    return _must_verify(replace(cert, variables=variables, target=target, summands=summands,
+                                provenance=cert.provenance + (note,)))
+
+
 def group_substitute(cert: Certificate, images) -> Certificate:
     """Substitute an equal-degree monomial for every variable.
 
@@ -619,41 +619,19 @@ def group_substitute(cert: Certificate, images) -> Certificate:
     target = Monomial((0,) * out_nv)
     for img, e in zip(images, cert.target.exponents):
         target = target * img ** e
-    new_summands = tuple(
-        (scalar, form.substitute(images)) for scalar, form in cert.summands
-    )
-    out = Certificate(
-        variables=default_names(out_nv),
-        k=cert.k,
-        target=target,
-        tower=cert.tower,
-        summands=new_summands,
-        provenance=cert.provenance
-        + (f"group-substitute {', '.join(m.text() for m in images)}",),
-    )
-    return _must_verify(out)
+    return _transformed(cert, default_names(out_nv), target,
+                        lambda form: form.substitute(images),
+                        f"group-substitute {', '.join(m.text() for m in images)}")
 
 
 def specialize_cert(cert: Certificate, identifications: dict) -> Certificate:
     """Identify variables (src -> dst) throughout the certificate."""
-    nv = len(cert.variables)
-    exps = [0] * nv
+    exps = [0] * len(cert.variables)
     for i, e in enumerate(cert.target.exponents):
         exps[identifications.get(i, i)] += e
-    target = Monomial(tuple(exps))
-    new_summands = tuple(
-        (scalar, form.specialize(identifications)) for scalar, form in cert.summands
-    )
-    out = Certificate(
-        variables=cert.variables,
-        k=cert.k,
-        target=target,
-        tower=cert.tower,
-        summands=new_summands,
-        provenance=cert.provenance
-        + (f"specialize {sorted(identifications.items())}",),
-    )
-    return _must_verify(out)
+    return _transformed(cert, cert.variables, Monomial(tuple(exps)),
+                        lambda form: form.specialize(identifications),
+                        f"specialize {sorted(identifications.items())}")
 
 
 def multiply_cert(cert: Certificate, n: Monomial) -> Certificate:
@@ -662,19 +640,13 @@ def multiply_cert(cert: Certificate, n: Monomial) -> Certificate:
         raise CertificateError("multiplier arity differs from certificate")
     if n.is_one():
         return cert
-    new_summands = tuple(
-        (scalar, form.map_exponents(lambda e: tuple(map(add, e, n.exponents)), form.nvars))
-        for scalar, form in cert.summands
-    )
-    out = Certificate(
-        variables=cert.variables,
-        k=cert.k,
-        target=cert.target * (n ** cert.k),
-        tower=cert.tower,
-        summands=new_summands,
-        provenance=cert.provenance + (f"multiply by {n.text()}",),
-    )
-    return _must_verify(out)
+
+    def shift(e):
+        return tuple(map(add, e, n.exponents))
+
+    return _transformed(cert, cert.variables, cert.target * (n ** cert.k),
+                        lambda form: form.map_exponents(shift, form.nvars),
+                        f"multiply by {n.text()}")
 
 
 # ---------------------------------------------------------------------------

@@ -196,28 +196,13 @@ class Polynomial:
                 self.tower, self.nvars, {e: c * el for e, c in self.terms.items()}
             )
         self._check(other)
-        # Accumulate raw tower terms per output monomial and normalize once
-        # per monomial: the inner loop stays in plain rational arithmetic.
-        tower = self.tower
-        acc: dict = {}
+        out: dict = {}
         for e1, c1 in self.terms.items():
-            t1 = c1.terms
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                bucket = acc.get(e)
-                if bucket is None:
-                    bucket = acc[e] = {}
-                for f1, a1 in t1.items():
-                    for f2, a2 in c2.terms.items():
-                        f = tuple(x + y for x, y in zip(f1, f2))
-                        prev = bucket.get(f)
-                        bucket[f] = a1 * a2 if prev is None else prev + a1 * a2
-        out: dict = {}
-        for e, bucket in acc.items():
-            reduced = tower.normalize(bucket)
-            if reduced:
-                out[e] = RingElement(tower, reduced)
-        return Polynomial(tower, self.nvars, out)
+                prev = out.get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+        return Polynomial(self.tower, self.nvars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 

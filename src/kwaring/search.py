@@ -281,6 +281,8 @@ def search(problem: SearchProblem, restarts: int = 50, tolerance: float = 1e-10,
         raise ValueError("restarts must be >= 1")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     best_norm = float("inf")
     best_params = np.zeros(problem.nparams, dtype=complex)
     records = []

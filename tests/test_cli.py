@@ -172,6 +172,19 @@ def test_malformed_seed_env_exits_2(monkeypatch, capsys):
     assert "seed: 0\n" in capsys.readouterr().out
 
 
+def test_negative_seed_exits_2_naming_its_source(monkeypatch, capsys):
+    argv = ["search", "-k", "2", "-s", "2", "--restarts", "1", "1,1"]
+    monkeypatch.delenv("WARING_SEED", raising=False)
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and "non-negative" in captured.err and captured.out == ""
+    monkeypatch.setenv("WARING_SEED", "-3")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "WARING_SEED" in captured.err and "non-negative" in captured.err
+    assert captured.out == ""
+
+
 def test_readme_search_example(monkeypatch, capsys):
     # the README's search block, run as printed; only the residual's low digits may move
     block = README.read_text().split("$ kwaring search ", 1)[1].split("```", 1)[0]

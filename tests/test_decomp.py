@@ -10,6 +10,7 @@ import random
 import pytest
 
 from kwaring.algebra import EMPTY_TOWER, ExtensionTower, RingElement
+from kwaring.certfile import serialize
 from kwaring.decomp import (
     Certificate,
     CertificateError,
@@ -82,6 +83,16 @@ def test_product_linear_counts_and_scalars():
         assert cert.target.exponents == (1,) * k
     k3 = product_linear(3)
     assert sorted(abs(s.rational_value()) for s, _ in k3.summands) == [Q(1, 24)] * 4
+
+
+def test_product_linear_is_the_averaging_certificate_over_signs():
+    for k in range(2, 9):
+        product, averaged = product_linear(k), monomial_linear_decomp((1,) * k)
+        assert product.verified and averaged.verified
+        lines = [[line for line in serialize(cert).splitlines() if not line.startswith("note: ")]
+                 for cert in (product, averaged)]
+        assert lines[0] == lines[1]
+        assert serialize(product) != serialize(averaged)
 
 
 def test_monomial_linear_decomp_matches_rank_formula():

@@ -112,6 +112,8 @@ def test_search_validation():
         search(p, restarts=0)
     with pytest.raises(ValueError):
         search(p, tolerance=0.0)
+    with pytest.raises(ValueError, match="seed"):
+        search(p, seed=-1)
 
 
 def test_search_converges_on_easy_problem():

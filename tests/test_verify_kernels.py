@@ -67,7 +67,7 @@ def assert_kernels_agree(cert) -> bool:
     verdict = _integer_kernel(*args)
     assert _modular_kernel(*args) is verdict
     diff = _integer_difference(*args)
-    largest = max(abs(a) for v in diff.values() for a in args[0].vector(v))
+    largest = max(abs(a) for v in diff.values() for a in v)
     assert _height_bound(*args[:3]) >= largest
     return verdict
 
