@@ -332,8 +332,9 @@ class IntegerStructure:
     with integer T and one common denominator L for the tower (1 for
     cyclotomic towers), so ``mul(x, y)`` returns L*x*y and a product of r
     factors carries L^(r-1).  Table rows are filled lazily, only for the
-    pairs that occur; ``row_norm`` and ``table_mod`` fill all of them.
-    The empty tower Q is the size-1 case: L = 1 and an element is ``[n]``.
+    pairs that occur; ``row_norm``, ``column_norm`` and ``table`` fill all
+    of them.  The empty tower Q is the size-1 case: L = 1 and an element is
+    ``[n]``.
     """
 
     def __init__(self, tower: ExtensionTower):
@@ -350,7 +351,6 @@ class IntegerStructure:
             tuple((i // s) % d for s, d in zip(strides, degs)) for i in range(self.size)
         ]
         self._rows = [None] * (self.size * self.size)
-        self._tables_mod: dict = {}
         self.zero = [0] * self.size
         self.one = [1] + [0] * (self.size - 1)
 
@@ -399,24 +399,33 @@ class IntegerStructure:
         ``|mul(x, y)|_1 <= rho * |x|_1 * |y|_1`` in the 1-norm."""
         return max(sum(abs(t) for _, t in row) for row in self._full_rows())
 
-    def table_mod(self, primes: tuple) -> np.ndarray:
-        """The full table T reduced mod each prime: int64 of shape
-        (primes, size * size, size), row i * size + j holding T_ij.  Kept on
-        this instance per tuple of primes."""
-        table = self._tables_mod.get(primes)
-        if table is None:
-            n = self.size
-            dense = [[0] * n for _ in range(n * n)]
-            for ij, row in enumerate(self._full_rows()):
-                for k, t in row:
-                    dense[ij][k] = t
-            table = np.array([[[t % p for t in row] for row in dense] for p in primes],
-                             dtype=np.int64)
-            self._tables_mod[primes] = table
+    @cached_property
+    def column_norm(self) -> int:
+        """c = max over k of sum_ij |T_ijk|: an output coefficient of the
+        table product is at most c times the largest product of two input
+        coefficients."""
+        cols = [0] * self.size
+        for row in self._full_rows():
+            for k, t in row:
+                cols[k] += abs(t)
+        return max(cols)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The full table T as int64 of shape (size * size, size), row
+        i * size + j holding T_ij.  Every entry is at most ``column_norm``,
+        which the caller must check fits int64."""
+        n = self.size
+        table = np.zeros((n * n, n), dtype=np.int64)
+        for ij, row in enumerate(self._full_rows()):
+            for k, t in row:
+                table[ij, k] = t
         return table
 
     def mul(self, x, y):
         n, rows = self.size, self._rows
+        if n == 1:  # Q, where L = 1
+            return [x[0] * y[0]]
         out = [0] * n
         ys = [(j, b) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):

@@ -110,6 +110,18 @@ def _int_field(raw: str, minimum: int, label: str) -> int:
     return int(raw)
 
 
+def _parse_term(tower: ExtensionTower, nv: int, line: str) -> tuple:
+    """A ``term:`` line's (exponent tuple, coefficient)."""
+    if " :: " not in line:
+        raise CertificateParseError(f"bad term line: {line!r}")
+    exp_part, coeff_part = line.split(" :: ", 1)
+    exp_raw = exp_part.split(" ")
+    if len(exp_raw) != nv:
+        raise CertificateParseError("term arity differs from variable list")
+    exps = tuple(_int_field(e, 0, "exponent") for e in exp_raw)
+    return exps, _parse_ring_element(tower, coeff_part)
+
+
 def serialize(cert: Certificate) -> str:
     out = [_HEADER]
     out.append("variables: " + " ".join(cert.variables))
@@ -171,22 +183,27 @@ def parse(text: str) -> Certificate:
             raise CertificateParseError(f"bad generator {name!r}: {exc}") from None
 
     nsummands = _int_field(src.expect("summands: "), 0, "summand count")
+    # Scalar and term lines repeat (a grid form's coefficients are a few root
+    # powers), so each distinct line is parsed once; the elements are
+    # immutable and shared.  The checks below that involve the whole form run
+    # on every use.
+    scalars: dict = {}
+    term_lines: dict = {}
     summands = []
     for _ in range(nsummands):
-        scalar = _parse_ring_element(tower, src.expect("scalar: "))
+        line = src.expect("scalar: ")
+        scalar = scalars.get(line)
+        if scalar is None:
+            scalar = scalars[line] = _parse_ring_element(tower, line)
         nterms = _int_field(src.expect("terms: "), 1, "term count")
         terms = {}
         order = []
         for _ in range(nterms):
             line = src.expect("term: ")
-            if " :: " not in line:
-                raise CertificateParseError(f"bad term line: {line!r}")
-            exp_part, coeff_part = line.split(" :: ", 1)
-            exp_raw = exp_part.split(" ")
-            if len(exp_raw) != nv:
-                raise CertificateParseError("term arity differs from variable list")
-            exps = tuple(_int_field(e, 0, "exponent") for e in exp_raw)
-            coeff = _parse_ring_element(tower, coeff_part)
+            term = term_lines.get(line)
+            if term is None:
+                term = term_lines[line] = _parse_term(tower, nv, line)
+            exps, coeff = term
             if coeff.is_zero() or exps in terms:
                 raise CertificateParseError("non-canonical form term list")
             terms[exps] = coeff

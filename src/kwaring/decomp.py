@@ -105,15 +105,17 @@ def verify(cert: Certificate) -> bool:
     Each summand's form and scalar are cleared to integer vectors (of length
     1 over Q) over their least common denominators D and D_s, and the
     summands are brought to one common denominator.  Small expansions run in
-    Python ints (``_integer_kernel``); from ``MODULAR_MIN_WORK`` on, the
-    expansion runs in numpy int64 modulo primes whose product exceeds a
-    certified bound on every coefficient of the difference
-    (``_modular_kernel``), so a zero residue there is a zero coefficient as
-    well.
+    Python ints (``_integer_kernel``); from ``MODULAR_MIN_WORK`` on, over a
+    tower of at most ``MODULAR_MAX_SIZE`` basis elements whose table column
+    norm is at most ``_MAX_COLUMN_NORM``, the expansion runs in numpy int64
+    modulo primes whose product exceeds a certified bound on every
+    coefficient of the difference (``_modular_kernel``), so a zero residue
+    there is a zero coefficient as well.
     """
     args = _cleared(cert)
     ring, parts, k, _ = args
-    if ring.size <= MODULAR_MAX_SIZE and _expansion_work(ring, parts, k) >= MODULAR_MIN_WORK:
+    if (ring.size <= MODULAR_MAX_SIZE and _expansion_work(ring, parts, k) >= MODULAR_MIN_WORK
+            and ring.column_norm <= _MAX_COLUMN_NORM):
         ok = _modular_kernel(*args)
     else:
         ok = _integer_kernel(*args)
@@ -162,10 +164,14 @@ def _cleared(cert: Certificate):
 # the decompose sweep, the criterion-02 grid and product_linear(2..7)
 # (2-CPU Xeon VM, Python 3.11).
 MODULAR_MIN_WORK = 1024
-# Towers of at most 45 basis elements keep every modular product sum below
-# 2^63: 45^2 terms, each below p^2 < 2^52.
+# The modular kernel's largest tower: its work and table grow as size^2.
 MODULAR_MAX_SIZE = 45
 PRIME_LIMIT = 1 << 26
+# A tower product reduces once, after the table matmul: each output is a sum
+# of products of two residues below p, weighted by table entries, so it stays
+# below (p - 1)^2 * column_norm, which fits int64 up to this column norm
+# (2048 for primes below 2^26).
+_MAX_COLUMN_NORM = (2 ** 63 - 1) // (PRIME_LIMIT - 1) ** 2
 # Size of the modular kernel's largest temporary arrays.
 BLOCK_BYTES = 1 << 18
 
@@ -259,16 +265,21 @@ def _modular_kernel(ring, parts, k: int, target) -> bool:
 
     ``_height_bound`` bounds every coefficient of the exact difference, and
     the primes' product exceeds it, so all residues are zero exactly when
-    the exact difference is zero.
+    the exact difference is zero.  The tower must have at most
+    ``MODULAR_MAX_SIZE`` basis elements and a table column norm of at most
+    ``_MAX_COLUMN_NORM``, which keeps ``_mul_mod`` exact in int64.
     """
     n = ring.size
     if n > MODULAR_MAX_SIZE:
         raise ValueError(f"modular expansion needs a tower of size <= {MODULAR_MAX_SIZE}, not {n}")
+    if ring.column_norm > _MAX_COLUMN_NORM:
+        raise ValueError(f"modular expansion needs a table column norm <= {_MAX_COLUMN_NORM}, "
+                         f"not {ring.column_norm}")
     dens, common = _modular_denominators(ring, parts, k)
     primes = _primes_above(_height_bound(ring, parts, k))
     m = len(primes)
     pcol = np.array(primes, dtype=np.int64).reshape(m, 1, 1)
-    table = ring.table_mod(primes)
+    table = ring.table
     groups: dict = {}
     for (support, coeffs, _, s, _), den in zip(parts, dens):
         groups.setdefault(support, []).append(
@@ -316,12 +327,14 @@ def _modular_kernel(ring, parts, k: int, target) -> bool:
 
 
 def _mul_mod(x, y, table, pcol):
-    """``mul`` on equal-shaped stacks of tower vectors (primes, ..., size)
-    mod each prime: an outer product, then a matmul with the table."""
+    """``mul`` on equal-shaped stacks of residue vectors (primes, ..., size)
+    mod each prime: the outer product, unreduced (entries below p^2 < 2^52),
+    times the int64 table shared by all primes, reduced once.  Exact while
+    (p - 1)^2 times the table's column norm stays below 2^63."""
     m, n = x.shape[0], x.shape[-1]
-    if n == 1:  # the empty tower Q, whose table is [[[1]]]
+    if n == 1:  # the empty tower Q, whose table is [[1]]
         return (x.reshape(m, -1, 1) * y.reshape(m, -1, 1) % pcol).reshape(x.shape)
-    outer = (x.reshape(m, -1, n, 1) * y.reshape(m, -1, 1, n)).reshape(m, -1, n * n) % pcol
+    outer = (x.reshape(m, -1, n, 1) * y.reshape(m, -1, 1, n)).reshape(m, -1, n * n)
     return (outer @ table % pcol).reshape(x.shape)
 
 

@@ -130,6 +130,52 @@ def test_digit_corruption_still_parses_but_fails_verify():
     assert verify(corrupted) is False
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_text():
+    """Grid (1,2,3,3): 48 summands whose scalar and term lines repeat."""
+    return serialize(monomial_linear_decomp((1, 2, 3, 3)))
+
+
+def test_repeated_term_line_within_a_form_rejected():
+    lines = _grid_text().split("\n")
+    i = lines.index("terms: 4")
+    assert lines[i + 1].startswith("term: ")
+    lines[i:i + 2] = ["terms: 5", lines[i + 1], lines[i + 1]]
+    with pytest.raises(CertificateParseError, match="non-canonical form term list"):
+        parse("\n".join(lines))
+
+
+def test_repeated_noncanonical_coefficient_gives_the_same_error():
+    text = _grid_text()
+    old, new = ":: (1)*z3^1*z4^0\n", ":: (2/2)*z3^1*z4^0\n"
+    assert text.count(old) > 2
+    messages = []
+    for count in (1, 2):
+        with pytest.raises(CertificateParseError) as err:
+            parse(text.replace(old, new, count))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "non-canonical coefficient" in messages[0]
+
+
+def test_corrupting_a_later_copy_of_a_repeated_line():
+    text = _grid_text()
+    line = "term: 0 0 0 1 :: (1)*z3^0*z4^1"
+    lines = text.split("\n")
+    first, last = lines.index(line), len(lines) - 1 - lines[::-1].index(line)
+    assert first < last
+    lines[last] = line.replace("(1)", "(2)")
+    cert = parse("\n".join(lines))
+
+    def coeff_at(index):
+        summand = sum(1 for entry in lines[:index] if entry.startswith("scalar: ")) - 1
+        return cert.summands[summand][1].terms[(0, 0, 0, 1)]
+
+    assert coeff_at(first) != coeff_at(last)
+    assert coeff_at(last) == coeff_at(first) * 2
+    assert verify(cert) is False
+
+
 def test_counts_must_match():
     text = serialize(product_linear(2))
     with pytest.raises(CertificateParseError):

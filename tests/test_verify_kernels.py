@@ -5,14 +5,17 @@ numpy int64 modulo primes whose product exceeds ``_height_bound``.  They must
 give the same verdict on every certificate of the decompose sweep, on the
 golden files and on a seeded single-digit corruption of each golden file, and
 the height bound must dominate every coefficient of the exact difference
-that the integer kernel computes.  The sympy oracle runs both kernels too
-(``tests/test_verify_oracle.py``).
+that the integer kernel computes.  The modular kernel's tower product
+``_mul_mod`` must equal ``IntegerStructure.mul`` reduced mod each prime, up to
+the table column norm that keeps it exact in int64.  The sympy oracle runs
+both kernels too (``tests/test_verify_oracle.py``).
 """
 
 import random
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kwaring import decomp
@@ -25,9 +28,11 @@ from kwaring.decomp import (
     _integer_difference,
     _integer_kernel,
     _modular_kernel,
+    _mul_mod,
     _primes,
     decompose,
     monomial_linear_decomp,
+    product_linear,
     verify,
 )
 from kwaring.polynomials import Monomial, Polynomial
@@ -35,6 +40,12 @@ from kwaring.rank import KInstance
 from kwaring.rationals import Q
 
 from test_sweep import sweep
+from test_verify_oracle import (
+    _nested_cubic_tower,
+    _nested_tower,
+    _sqrt_tower,
+    _two_sqrt_tower,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -155,3 +166,54 @@ def test_verify_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20, peak
+
+
+def _sqrt_of(n):
+    """The tower u^2 = n: its table column norm is n + 1."""
+    return EMPTY_TOWER.extend("u", (Q(-n), Q(0), Q(1)))
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [_sqrt_tower(), _two_sqrt_tower(), _nested_tower(), _nested_cubic_tower(),
+     roots_of_unity_tower([5, 6]), _sqrt_of(2047)],
+    ids=["sqrt", "two-sqrt", "nested", "nested-cubic", "cyclotomic 5, 6",
+         "u^2 = 2047, at the column bound"],
+)
+def test_mul_mod_is_mul_reduced_mod_each_prime(tower):
+    ring = tower.integer_structure()
+    assert ring.column_norm <= decomp._MAX_COLUMN_NORM
+    n, primes = ring.size, _primes(3)
+    top = np.array(primes, dtype=np.int64).reshape(-1, 1, 1) - 1
+    rng = np.random.default_rng(n)
+    x = np.concatenate([np.broadcast_to(top, (3, 1, n)),  # every residue p - 1
+                        rng.integers(0, top, size=(3, 16, n), endpoint=True)], axis=1)
+    y = np.concatenate([x[:, :1], x[:, :0:-1]], axis=1)
+    got = _mul_mod(x, y, ring.table, top + 1)
+    for i, p in enumerate(primes):
+        for b in range(x.shape[1]):
+            want = [v % p for v in ring.mul(x[i, b].tolist(), y[i, b].tolist())]
+            assert got[i, b].tolist() == want, (i, b)
+
+
+def test_towers_beyond_the_column_bound_use_the_integer_kernel():
+    """u^2 = 3000 has column norm 3001, where one p^2-sized product times the
+    table could overflow int64: verify expands it in Python ints."""
+    tower = _sqrt_of(3000)
+    assert tower.integer_structure().column_norm == 3001
+    u = tower.generator_element("u")
+    # product_linear(4) with every form times u: (u l)^4 = 3000^2 l^4
+    base = product_linear(4)
+    summands = [
+        (tower.scalar(s.rational_value() / 3000 ** 2),
+         Polynomial(tower, f.nvars, {e: u * c.rational_value() for e, c in f.terms.items()}))
+        for s, f in base.summands
+    ]
+    cert = _cert(tower, 4, 4, (1, 1, 1, 1), summands)
+    args = _cleared(cert)
+    assert decomp._expansion_work(*args[:3]) >= decomp.MODULAR_MIN_WORK
+    with pytest.raises(ValueError, match="column norm <= 2048"):
+        _modular_kernel(*args)
+    assert verify(cert) is True
+    bad = parse(corrupted(serialize(cert), random.Random(3000)))
+    assert verify(bad) is False
