@@ -7,13 +7,16 @@ Exit codes separate four situations:
     3  internal invariant breach (a freshly built certificate failed to verify)
 
 `WARING_SEED` overrides the default of --seed; an explicit flag wins.
-Floats print as %.6e, rationals exactly; all output is deterministic.
+Floats print as %.6e (in full under `search --json`), rationals exactly; all
+output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import json
 import os
 import re
 import sys
@@ -120,6 +123,15 @@ def _cmd_search(args) -> int:
     problem = SearchProblem(monomial, args.k, args.s)
     result = run_search(problem, restarts=args.restarts, tolerance=args.tol,
                         seed=seed)
+    if args.json:
+        print(json.dumps({
+            "target": monomial.text(), "k": args.k, "summands": args.s,
+            "restarts": args.restarts, "tolerance": args.tol, "seed": seed,
+            "best_residual": result.best_residual, "restarts_used": result.restarts_used,
+            "converged": result.converged,
+            "restart_records": [dataclasses.asdict(r) for r in result.restarts],
+        }))
+        return 0 if result.converged else 1
     print(f"target: {monomial.text()}")
     print(f"k: {args.k}")
     print(f"summands: {args.s}")
@@ -207,6 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object with the verdict and every restart's record")
     p.add_argument("monomial")
     p.set_defaults(func=_cmd_search)
 

@@ -17,21 +17,28 @@ whose real/imaginary parts are the partial derivatives up to the standard
 factor.  Because the residual is holomorphic in the parameters, complex
 normal equations coincide with real ones on interleaved (re, im) pairs.
 
-Powers are evaluated from index tables that each problem builds on first
-use and keeps, from the shared ``polynomials.multinomial_table``.  For p in
-{k, k-1} the table lists every p-multiset of form-basis positions, its
-multinomial weight and the position of its product monomial in the
-degree-pd basis.  The residual is then a gather of the
-s x B coefficient matrix, a product along each multiset, the weights, a sum
-over summands and one scatter-add; the Jacobian builds each G_j^{k-1} the
-same way and places k * G_j^{k-1} through a shift table mapping basis
-monomial b and degree-(k-1)d position i to the position of their product.
+Powers are evaluated from tables that each problem builds on first use and
+keeps, from the shared ``polynomials.multinomial_table``.  For p in {k, k-1}
+a table lists every p-multiset of form-basis positions with its multinomial
+weight, sorted by the position of its product monomial in the degree-pd
+basis.  One kernel serves both powers: it gathers the p coefficients of each
+row from the parameter vector (the multiset's members on the leading axis,
+so the product multiplies whole slabs), weights the products and sums each
+monomial's segment of rows with one ``np.add.reduceat``.  For the residual a
+segment spans the monomial's multisets in all summands.  For the Jacobian
+each summand has its own segments, k is folded into the weights, and one
+zero-weight row ends each summand's list, so that J is read off the result
+with one gather: the entry of column j*B+b in the row of monomial m is the
+coefficient of m / x^b in k G_j^{k-1}, or that zero where x^b does not
+divide m.
 
 Minimizer policy (all deterministic):
   * one thin SVD J = U diag(sig) V^H per iteration serves the damped solves
     of all its attempts: min |[J; sqrt(l) I] d + [b; 0]| is attained at
     d = -V (sig / (sig^2 + l) * U^H b) for any shape or rank of J; J^H J is
-    never formed, so the conditioning stays cond(J), not cond(J)^2;
+    never formed, so the conditioning stays cond(J), not cond(J)^2.  U^H, V
+    and U^H r are formed once per SVD, the filter sig / (sig^2 + l) once per
+    attempt;
   * the damping l follows a gain-ratio schedule (divide by up to 3 on a
     good step, multiply by a doubling factor on rejection);
   * each step adds a geodesic-acceleration correction (second directional
@@ -39,6 +46,10 @@ Minimizer policy (all deterministic):
     dropped when it exceeds 3/4 of the step length - this is what makes the
     flat valleys around scale-degenerate solutions converge in tens rather
     than thousands of iterations;
+  * an attempt after the first whose step rounds away (params + delta equals
+    params) is rejected without evaluating residuals: params +- h delta equal
+    params too, so the correction is zero and the trial is params itself;
+    the damping grows as for any rejection, so the outcome is unchanged;
   * a restart stops after 500 iterations, or when the residual norm improves
     by less than 1e-14 over 25 consecutive iterations;
   * each restart leaves a RestartRecord: accepted steps, stop reason
@@ -106,39 +117,63 @@ class SearchProblem:
         self.out_basis = _degree_basis(self.nvars, target.degree)
         self.form_index = {e: i for i, e in enumerate(self.form_basis)}
         self.out_index = {e: i for i, e in enumerate(self.out_basis)}
+        self.nparams = s * len(self.form_basis)
         self.target_vec = np.zeros(len(self.out_basis), dtype=complex)
         self.target_vec[self.out_index[target.exponents]] = 1.0
 
-    @property
-    def nparams(self) -> int:
-        return self.s * len(self.form_basis)
-
     @cached_property
     def _power_table(self):
-        """Multiset table of G^k over the degree-kd basis."""
-        return _multiset_table(self.form_basis, self.k, self.out_index)
+        """G^k over the degree-kd basis, as (gather, weights, starts), with the
+        s summands of each multiset side by side so that each segment also sums
+        over summands."""
+        positions, weights, starts = self._multisets(self.k, self.out_index)
+        gather = positions.T[:, :, None] + len(self.form_basis) * np.arange(self.s)
+        return gather.reshape(self.k, -1), np.repeat(weights, self.s), starts * self.s
 
     @cached_property
     def _jacobian_table(self):
-        """Multiset table of G^(k-1) over the degree-(k-1)d basis, and the shift
-        table: shift[b, i] is the degree-kd index of x^form_basis[b] times the
-        i-th degree-(k-1)d monomial."""
+        """k G_j^(k-1) over the degree-(k-1)d basis, as (gather, weights, starts)
+        with one segment list per summand, each ending in a zero entry (one
+        more multiset, of weight 0); and the source of each entry of J in the
+        (s, L+1) result: entry [i, j*B+b] is k times the coefficient in
+        G_j^(k-1) of x^out_basis[i] divided by x^form_basis[b], or the zero
+        entry where that is no monomial."""
         lower = _degree_basis(self.nvars, (self.k - 1) * self.d)
-        table = _multiset_table(self.form_basis, self.k - 1,
-                                {e: i for i, e in enumerate(lower)})
+        positions, weights, starts = self._multisets(self.k - 1,
+                                                     {e: i for i, e in enumerate(lower)})
+        positions = np.vstack([positions, positions[:1]])
+        weights = np.append(self.k * weights, 0)
+        starts = np.append(starts, len(weights) - 1)
+        B, L = len(self.form_basis), len(lower)
+        gather = positions.T[:, None, :] + B * np.arange(self.s)[:, None]
+        starts = starts + len(weights) * np.arange(self.s)[:, None]
         shifted = np.asarray(self.form_basis)[:, None, :] + np.asarray(lower)[None, :, :]
-        shift = np.array([[self.out_index[e] for e in map(tuple, row)]
-                          for row in shifted.tolist()], dtype=np.intp)
-        return table, shift
+        rows = [[self.out_index[e] for e in map(tuple, row)] for row in shifted.tolist()]
+        source = np.full((len(self.out_basis), 1, B), L)
+        # Multiplying by x^b is injective, so no two monomials meet in one entry.
+        source[rows, 0, np.arange(B)[:, None]] = np.arange(L)
+        source = source + (L + 1) * np.arange(self.s)[:, None]
+        return (gather.reshape(self.k - 1, -1), np.tile(weights, self.s), starts.ravel(),
+                source.reshape(len(self.out_basis), self.nparams))
+
+    def _multisets(self, power: int, index):
+        """Every power-multiset of form-basis positions, grouped by the position
+        in ``index`` of its product monomial: the positions (M, power), the
+        multinomial weights (complex), and where each monomial's group starts.
+        Every degree-(power d) monomial is a product of power degree-d ones,
+        so no group is empty."""
+        positions, _, multinomials = multinomial_table(len(self.form_basis), power)
+        exponents = np.asarray(self.form_basis)[positions].sum(axis=1)
+        targets = np.array([index[e] for e in map(tuple, exponents.tolist())], dtype=np.intp)
+        order = np.argsort(targets, kind="stable")
+        return (positions[order], np.array(multinomials, dtype=complex)[order],
+                np.searchsorted(targets[order], np.arange(len(index))))
 
 
-def _multiset_table(basis, power: int, index):
-    """Every power-multiset of basis positions, as (positions (M, power),
-    multinomial weights (M,), index of the product monomial in ``index``)."""
-    positions, _, multinomials = multinomial_table(len(basis), power)
-    exponents = np.asarray(basis)[positions].sum(axis=1)
-    targets = np.array([index[e] for e in map(tuple, exponents.tolist())], dtype=np.intp)
-    return positions, np.array(multinomials, dtype=float), targets
+def _segment_sums(params, gather, weights, starts):
+    """Per segment of the table, the sum of weight times the product of the
+    gathered parameters."""
+    return np.add.reduceat(params[gather].prod(axis=0) * weights, starts)
 
 
 def residual_vector(problem: SearchProblem, params):
@@ -146,11 +181,7 @@ def residual_vector(problem: SearchProblem, params):
     params = np.asarray(params, dtype=complex)
     if params.shape != (problem.nparams,):
         raise ValueError("parameter vector has wrong length")
-    positions, weights, targets = problem._power_table
-    coeffs = params.reshape(problem.s, -1)
-    out = -problem.target_vec
-    np.add.at(out, targets, (coeffs[:, positions].prod(axis=-1) * weights).sum(axis=0))
-    return out
+    return _segment_sums(params, *problem._power_table) - problem.target_vec
 
 
 def residual(problem: SearchProblem, params) -> float:
@@ -161,16 +192,8 @@ def residual(problem: SearchProblem, params) -> float:
 def _jacobian(problem: SearchProblem, params):
     """J[i, j*B+b] = d residual_i / d params[j*B+b] = k * coeff of G_j^{k-1}
     shifted by basis monomial b."""
-    params = np.asarray(params, dtype=complex)
-    (positions, weights, targets), shift = problem._jacobian_table
-    s, B = problem.s, len(problem.form_basis)
-    coeffs = params.reshape(s, B)
-    lower = np.zeros((s, shift.shape[1]), dtype=complex)
-    np.add.at(lower, (slice(None), targets), coeffs[:, positions].prod(axis=-1) * weights)
-    J = np.zeros((len(problem.out_basis), problem.nparams), dtype=complex)
-    # Multiplying by x^b is injective, so no two entries of a column collide.
-    J[shift[None], np.arange(problem.nparams).reshape(s, B, 1)] = problem.k * lower[:, None, :]
-    return J
+    *table, source = problem._jacobian_table
+    return _segment_sums(np.asarray(params, dtype=complex), *table)[source]
 
 
 def gradient(problem: SearchProblem, params):
@@ -204,9 +227,27 @@ class SearchResult:
     restarts: tuple = ()  # one RestartRecord per restart run
 
 
-def _damped_solve(U, sig, Vh, b, lam: float):
-    """argmin over d of |J d - b|^2 + lam |d|^2, given J = U diag(sig) Vh."""
-    return Vh.conj().T @ (sig / (sig * sig + lam) * (U.conj().T @ b))
+def _damping_filter(sig, lam: float):
+    """Weights of the damped solve on the singular directions: sig / (sig^2 + lam)."""
+    return sig / (sig * sig + lam)
+
+
+def _damped_solve(V, filt, c):
+    """argmin over d of |J d - b|^2 + lam |d|^2, given J = U diag(sig) V^H,
+    filt = _damping_filter(sig, lam) and c = U^H b."""
+    return V @ (filt * c)
+
+
+def _cannot_move(params, moved) -> bool:
+    """Whether params + delta rounded back to params.  Then so do params +-
+    h delta (|h| < 1), the second difference is exactly zero, and the trial is
+    params itself, whose residual is no lower: the attempt is a rejection."""
+    return bool((moved == params).all())
+
+
+def _norm(x) -> float:
+    """np.linalg.norm of a complex vector, by numpy's own formula."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _lm_minimize(problem: SearchProblem, start, tolerance: float):
@@ -216,6 +257,7 @@ def _lm_minimize(problem: SearchProblem, start, tolerance: float):
     err = float(np.real(np.vdot(r, r)))
     norm = err ** 0.5
     lam, nu = 1e-3, 2.0
+    h = 0.1
     best_recent = norm
     recent = deque([norm], maxlen=STALL_ITERS + 1)  # norms before and after the last steps
     since_improved = 0
@@ -226,29 +268,36 @@ def _lm_minimize(problem: SearchProblem, start, tolerance: float):
             break
         J = _jacobian(problem, params)
         U, sig, Vh = np.linalg.svd(J, full_matrices=False)
+        Uh, V = U.conj().T, Vh.conj().T
+        c = Uh @ -r  # the step solves min |J d + r|
         stepped = False
-        for _attempt in range(16):
-            delta = _damped_solve(U, sig, Vh, -r, lam)
-            h = 0.1
-            r_plus = residual_vector(problem, params + h * delta)
-            r_minus = residual_vector(problem, params - h * delta)
-            second = (r_plus - 2.0 * r + r_minus) / (h * h)
-            accel = _damped_solve(U, sig, Vh, -0.5 * second, lam)
-            if np.linalg.norm(accel) > 0.75 * np.linalg.norm(delta):
-                accel = 0.0
-            trial = params + delta + accel
-            r_trial = residual_vector(problem, trial)
-            err_trial = float(np.real(np.vdot(r_trial, r_trial)))
-            if err_trial < err:
-                linear = r + J @ delta
-                predicted = err - float(np.real(np.vdot(linear, linear)))
-                ratio = (err - err_trial) / predicted if predicted > 0 else 0.5
-                params, r, err = trial, r_trial, err_trial
-                norm = err ** 0.5
-                lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-16)
-                nu = 2.0
-                stepped = True
-                break
+        for attempt in range(16):
+            filt = _damping_filter(sig, lam)
+            delta = _damped_solve(V, filt, c)
+            moved = params + delta
+            # a step is tested only after a rejection has raised the damping
+            if not (attempt and _cannot_move(params, moved)):
+                hd = h * delta
+                r_plus = residual_vector(problem, params + hd)
+                r_minus = residual_vector(problem, params - hd)
+                # -0.5 times the second difference: dividing by -2 h^2 scales exactly
+                minus_half = (r_plus - 2.0 * r + r_minus) / (-2.0 * h * h)
+                accel = _damped_solve(V, filt, Uh @ minus_half)
+                if _norm(accel) > 0.75 * _norm(delta):
+                    accel = 0.0
+                trial = moved + accel
+                r_trial = residual_vector(problem, trial)
+                err_trial = float(np.vdot(r_trial, r_trial).real)
+                if err_trial < err:
+                    linear = r + J @ delta
+                    predicted = err - float(np.vdot(linear, linear).real)
+                    ratio = (err - err_trial) / predicted if predicted > 0 else 0.5
+                    params, r, err = trial, r_trial, err_trial
+                    norm = err ** 0.5
+                    lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-16)
+                    nu = 2.0
+                    stepped = True
+                    break
             lam *= nu
             nu *= 2.0
         if not stepped:

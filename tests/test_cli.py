@@ -2,7 +2,9 @@
 WARING_SEED, and byte stability.
 """
 
+import dataclasses
 import hashlib
+import json
 import os
 import pathlib
 import resource
@@ -16,6 +18,8 @@ from kwaring import rank
 from kwaring.certfile import parse
 from kwaring.cli import main, parse_monomial
 from kwaring.decomp import greedy_split, verify
+from kwaring.polynomials import Monomial
+from kwaring.search import SearchProblem, search
 
 CLI = [sys.executable, "-m", "kwaring"]
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -199,6 +203,28 @@ def test_readme_search_example(monkeypatch, capsys):
         assert len(residuals) == 1 and residuals[0] < tolerance
     assert ([line for line in printed if not line.startswith(label)]
             == [line for line in documented if not line.startswith(label)])
+
+
+def test_search_json_reports_every_restart(monkeypatch, capsys):
+    monkeypatch.delenv("WARING_SEED", raising=False)
+    argv = ["search", "-k", "3", "-s", "2", "--restarts", "3", "--seed", "5", "1,2"]
+    assert main(argv + ["--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    result = search(SearchProblem(Monomial((1, 2)), 3, 2), restarts=3, seed=5)
+    assert report == {
+        "target": "x0^1*x1^2", "k": 3, "summands": 2, "restarts": 3, "tolerance": 1e-10,
+        "seed": 5, "best_residual": result.best_residual,
+        "restarts_used": result.restarts_used, "converged": False,
+        "restart_records": [dataclasses.asdict(r) for r in result.restarts],
+    }
+    assert len(report["restart_records"]) == 3
+    assert main(["search", "-k", "2", "-s", "2", "--restarts", "5", "--json", "1,1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["converged"] is True
+    assert [r["stop"] for r in report["restart_records"]][-1] == "converged"
+    # without the flag, stdout is the text report
+    assert main(argv) == 1
+    assert capsys.readouterr().out.startswith("target: x0^1*x1^2\nk: 3\n")
 
 
 def test_classes_output(capsys):

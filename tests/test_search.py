@@ -20,6 +20,7 @@ from kwaring.search import (
     probe_open_case,
     residual,
     _damped_solve,
+    _damping_filter,
     _jacobian,
     _lm_minimize,
     residual_vector,
@@ -202,6 +203,25 @@ def test_jacobian_matches_central_differences():
         assert np.max(np.abs(fd - J)) <= 1e-6 * max(1.0, np.max(np.abs(J))), trial
 
 
+def test_jacobian_matches_pointwise_evaluation():
+    # column j*B+b of J holds the coefficients of d(G_j^k)/d(coeff b of G_j), so
+    # sum_i J[i, j*B+b] x^out_basis[i] = k G_j(x)^(k-1) x^form_basis[b] at any point x
+    rng = np.random.default_rng(2024)
+    for trial in range(40):
+        problem, params = _random_problem(rng)
+        J = _jacobian(problem, params)
+        coeffs = params.reshape(problem.s, -1)
+        for _ in range(3):
+            x = rng.uniform(0.5, 1.0, problem.nvars) * np.exp(
+                2j * np.pi * rng.uniform(size=problem.nvars))
+            forms = coeffs @ _monomials_at(problem.form_basis, x)
+            direct = np.outer(problem.k * forms ** (problem.k - 1),
+                              _monomials_at(problem.form_basis, x)).ravel()
+            terms = J * _monomials_at(problem.out_basis, x)[:, None]
+            assert np.all(np.abs(terms.sum(axis=0) - direct)
+                          <= 1e-12 * (1.0 + np.abs(terms).sum(axis=0))), trial
+
+
 def test_restart_records_match_verdict():
     for exps, k, s, restarts in (((1, 1), 2, 2, 10), ((1, 2), 3, 2, 2),
                                  ((2, 2), 4, 2, 2)):
@@ -265,29 +285,61 @@ def test_damped_solve_matches_augmented_lstsq():
                 expected, *_ = np.linalg.lstsq(aug, np.concatenate([b, np.zeros(n)]), rcond=None)
             else:
                 expected = np.linalg.solve(J.conj().T @ J + lam * np.eye(n), J.conj().T @ b)
-            got = _damped_solve(U, sig, Vh, b, lam)
+            got = _damped_solve(Vh.conj().T, _damping_filter(sig, lam), U.conj().T @ b)
             assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected), (shape, lam)
+
+
+def _counting(calls, name, original):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    return wrapper
 
 
 def test_one_svd_per_jacobian_and_no_lstsq(monkeypatch):
     calls = []
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in ("_jacobian", "_damped_solve"):
-        monkeypatch.setattr(search_module, name, counting(name, getattr(search_module, name)))
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    for name in ("_jacobian", "_damping_filter"):
+        monkeypatch.setattr(search_module, name,
+                            _counting(calls, name, getattr(search_module, name)))
+    monkeypatch.setattr(np.linalg, "svd", _counting(calls, "svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "lstsq", _counting(calls, "lstsq", np.linalg.lstsq))
     result = search(SearchProblem(Monomial((1, 3)), 2, 1), restarts=1, seed=0)
     assert result.restarts[0].stop == "no_step"
     assert calls.count("svd") == calls.count("_jacobian") > 0
-    # two solves per attempt, and the last factorisation served 16 rejected attempts
-    assert calls.count("_damped_solve") >= 2 * (calls.count("svd") + 15)
+    # each attempt solves for its step once, with the damping filter of its lambda:
+    # the last factorisation served all 16 rejected attempts
+    last = len(calls) - calls[::-1].index("svd")
+    assert calls[last:] == ["_damping_filter"] * 16
     assert "lstsq" not in calls
+
+
+def test_skipping_steps_that_cannot_move_is_exact(monkeypatch):
+    # An attempt whose step rounds away is rejected without evaluating it; with the
+    # skip switched off, every no_step search of the pinned list ends the same.
+    def no_step_runs():
+        for exps, k, s in FAILS:
+            result = search(SearchProblem(Monomial(exps), k, s), restarts=1, seed=0)
+            if result.restarts[0].stop == "no_step":
+                yield (exps, k, s), result
+
+    skipping = dict(no_step_runs())
+    assert ((1, 3), 2, 1) in skipping
+    monkeypatch.setattr(search_module, "_cannot_move", lambda params, moved: False)
+    evaluating = dict(no_step_runs())
+    monkeypatch.undo()
+    assert evaluating.keys() == skipping.keys()
+    for problem, result in evaluating.items():
+        assert result.restarts == skipping[problem].restarts, problem
+        assert result.best_params.tobytes() == skipping[problem].best_params.tobytes(), problem
+
+    calls = []
+    for name in ("_jacobian", "residual_vector"):
+        monkeypatch.setattr(search_module, name,
+                            _counting(calls, name, getattr(search_module, name)))
+    search(SearchProblem(Monomial((1, 3)), 2, 1), restarts=1, seed=0)
+    last = len(calls) - calls[::-1].index("_jacobian")
+    # three evaluations per attempt that is not skipped, of 16
+    assert calls[last:].count("residual_vector") < 3 * 16
 
 
 # Verdicts at restarts=1, seed=0: every problem with 2-3 variables, d = 1..2,
@@ -314,3 +366,11 @@ def test_single_restart_verdicts_are_pinned():
             result = search(SearchProblem(Monomial(exps), k, s), restarts=1, seed=0)
             assert result.converged is expected, (exps, k, s, result.best_residual)
             assert result.restarts_used == 1
+
+
+def test_k4_s3_single_restart_flags_are_pinned():
+    # open cases of the paper at k=4, s=3: the flags the search gives at restarts=1
+    for exps, seed, expected in (((1, 11), 0, True), ((1, 11), 1, True), ((1, 11), 2, False),
+                                 ((3, 9), 0, True), ((5, 7), 0, False), ((5, 7), 1, False)):
+        result = search(SearchProblem(Monomial(exps), 4, 3), restarts=1, seed=seed)
+        assert result.converged is expected, (exps, seed, result.best_residual)
