@@ -346,41 +346,49 @@ class IntegerStructure:
         for d in degs:
             strides.append(step)
             step *= d
-        self._strides = tuple(strides)
         self._basis = [
             tuple((i // s) % d for s, d in zip(strides, degs)) for i in range(self.size)
         ]
+        self._position = {b: i for i, b in enumerate(self._basis)}
         self._rows = [None] * (self.size * self.size)
         self.zero = [0] * self.size
         self.one = [1] + [0] * (self.size - 1)
 
-    def _index(self, exps) -> int:
-        return sum(e * s for e, s in zip(exps, self._strides))
-
-    def clear(self, elements):
+    def clear(self, elements, known=None):
         """Clear denominators: (values, D) with element_i == values_i / D and
-        D the least common denominator of all coefficients."""
-        den = lcm(*(int(c.denominator) for el in elements for c in el.terms.values()))
-        values = []
+        D the least common denominator of all coefficients.
+
+        ``known`` maps id(element) to that element's own cleared vector and
+        denominator: an element found there is not cleared again, and one
+        that is not is added.  Returned vectors may be shared with it.
+        """
+        position, own = self._position, []
         for el in elements:
-            v = [0] * self.size
-            for e, c in el.terms.items():
-                v[self._index(e)] = int(c.numerator) * (den // int(c.denominator))
-            values.append(v)
-        return values, den
+            hit = None if known is None else known.get(id(el))
+            if hit is None:
+                den = lcm(*(c.denominator for c in el.terms.values()))
+                v = [0] * self.size
+                for e, c in el.terms.items():
+                    v[position[e]] = c.numerator * (den // c.denominator)
+                hit = (v, den)
+                if known is not None:
+                    known[id(el)] = hit
+            own.append(hit)
+        den = lcm(*(d for _, d in own))
+        return [v if d == den else [a * (den // d) for a in v] for v, d in own], den
 
     def _row(self, i: int, j: int) -> tuple:
         n, big = self.size, self.denominator
         e = tuple(a + b for a, b in zip(self._basis[i], self._basis[j]))
         if all(a < d for a, d in zip(e, self.tower.degrees)):
-            row = ((self._index(e), big),)
+            row = ((self._position[e], big),)
         else:
             row = []
             for f, c in self.tower.normalize({e: Q(1)}).items():
                 num, den = int(c.numerator), int(c.denominator)
                 if big % den:
                     raise ArithmeticError("structure constant outside the denominator bound")
-                row.append((self._index(f), num * (big // den)))
+                row.append((self._position[f], num * (big // den)))
             row = tuple(row)
         self._rows[i * n + j] = self._rows[j * n + i] = row
         return row

@@ -44,10 +44,11 @@ The constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,19 +142,20 @@ def _cleared(cert: Certificate):
     d = cert.target.degree // k
     ring = cert.tower.integer_structure()
     parts = []
+    known: dict = {}  # each distinct coefficient object is cleared once
     for scalar, form in cert.summands:
         if not isinstance(form, Polynomial) or form.tower != cert.tower:
             raise MalformedCertificateError("form is not over the certificate tower")
         if form.nvars != nv:
             raise MalformedCertificateError("form arity differs from variable list")
-        if form.is_zero() or not form.is_homogeneous() or form.degree() != d:
+        if {sum(e) for e in form.terms} != {d}:
             raise MalformedCertificateError(
                 f"forms must be nonzero homogeneous of degree {d}"
             )
         sc = cert.tower._coerce(scalar)
         support = tuple(sorted(form.terms))
-        coeffs, den = ring.clear([form.terms[e] for e in support])
-        (s,), den_s = ring.clear([sc])
+        coeffs, den = ring.clear([form.terms[e] for e in support], known)
+        (s,), den_s = ring.clear([sc], known)
         parts.append((support, coeffs, den, s, den_s))
     return ring, parts, k, cert.target.exponents
 
@@ -255,13 +257,19 @@ def _expand(ring, leaves, nout: int, coeffs, k: int) -> list:
 def _modular_kernel(ring, parts, k: int, target) -> bool:
     """The expansion minus the target, modulo primes, in numpy int64.
 
-    Summands are grouped by support and expanded in blocks that keep every
-    temporary array near ``BLOCK_BYTES``.  The scalar enters as the zeroth
-    power of the first term, ``pw[0] = s``, the others start at
-    ``pw[0] = 1``, and ``pw[b] = mul(pw[b-1], c)``; a leaf takes t - 1
-    products of its t powers, so with t terms every contribution of a summand
-    carries L^(k+t-1) * D^k * D_s.  Leaves are multiplied by their
-    multinomials, and all are grouped by output monomial with one sort.
+    Summands are grouped by support.  The scalar enters as the zeroth power
+    of the first term, ``pw[0] = s``, the others start at ``pw[0] = 1``, and
+    ``pw[b] = mul(pw[b-1], c)``: k powers per term.  The t terms split into
+    halves [0, h) and [h, t), h = t // 2, and every summand multiplies out
+    each half's assignments of every degree, with h - 1 and t - h - 1
+    products.  A leaf pairs a first-half assignment of degree a with a
+    second-half one of degree k - a; one matmul over the summands per split
+    a sums the outer products of those pairs (``_leaf_sums``), and the table
+    turns each leaf's sum into its value: one cross product per leaf.  So
+    with t terms every contribution of a summand carries L^(k+t-1) * D^k *
+    D_s, and since the table is linear the sums equal the leaf-by-leaf
+    products exactly.  Leaves are multiplied by their multinomials, and all
+    are grouped by output monomial with one sort.
 
     ``_height_bound`` bounds every coefficient of the exact difference, and
     the primes' product exceeds it, so all residues are zero exactly when
@@ -278,8 +286,6 @@ def _modular_kernel(ring, parts, k: int, target) -> bool:
     dens, common = _modular_denominators(ring, parts, k)
     primes = _primes_above(_height_bound(ring, parts, k))
     m = len(primes)
-    pcol = np.array(primes, dtype=np.int64).reshape(m, 1, 1)
-    table = ring.table
     groups: dict = {}
     for (support, coeffs, _, s, _), den in zip(parts, dens):
         groups.setdefault(support, []).append(
@@ -288,54 +294,192 @@ def _modular_kernel(ring, parts, k: int, target) -> bool:
     monomials, sums = [], []
     for support, members in groups.items():
         t = len(support)
-        _, assign, multinomials = multinomial_table(t, k)
-        nleaves = len(multinomials)
         flat = [a for vectors in members for v in vectors for a in v]
         values = _residues(flat, primes).reshape(m, len(members), t + 1, n)
-        cap = max(1, BLOCK_BYTES // (8 * m * n * n))
-        block, chunk = (max(1, cap // nleaves), nleaves) if nleaves <= cap else (1, cap)
-        acc = np.zeros((m, nleaves, n), dtype=np.int64)
-        for j in range(0, len(members), block):
-            c = values[:, j:j + block, :t]
-            pw = np.zeros(c.shape[:3] + (k + 1, n), dtype=np.int64)
-            pw[:, :, 1:, 0, 0] = 1
-            pw[:, :, 0, 0] = values[:, j:j + block, t]
-            for b in range(1, k + 1):
-                pw[:, :, :, b] = _mul_mod(pw[:, :, :, b - 1], c, table, pcol)
-            for lo in range(0, nleaves, chunk):
-                leaf = assign[lo:lo + chunk]
-                val = np.take(pw[:, :, 0], leaf[:, 0], axis=2)
-                for u in range(1, t):
-                    val = _mul_mod(val, np.take(pw[:, :, u], leaf[:, u], axis=2), table, pcol)
-                acc[:, lo:lo + chunk] += val.sum(axis=1)
-                acc[:, lo:lo + chunk] %= pcol
-        multi = _residues(multinomials, primes).reshape(m, nleaves, 1)
-        sums.append(acc * multi % pcol)
-        monomials.append(assign @ np.array(support, dtype=np.int64).reshape(t, len(target)))
+        leaves = _leaf_sums(values, k, ring.table, primes)
+        leaves *= _multinomial_residues(t, k, m)
+        sums.append(_reduce(leaves, primes))
+        counts = multinomial_table(t, k)[1]
+        if t > 1:
+            counts = counts[_split_plan(t, k).order]
+        monomials.append(counts @ np.array(support, dtype=np.int64).reshape(t, len(target)))
     if not sums:
         return False
     mono = np.concatenate(monomials)
     order = np.lexsort(mono.T if mono.shape[1] else np.zeros((1, len(mono)), np.int64))
     mono = mono[order]
     starts = np.flatnonzero(np.concatenate(([True], (mono[1:] != mono[:-1]).any(axis=1))))
-    total = np.add.reduceat(np.concatenate(sums, axis=1)[:, order], starts, axis=1) % pcol
+    total = _reduce(np.add.reduceat(np.concatenate(sums, axis=2)[:, :, order], starts, axis=2),
+                    primes)
     hit = np.flatnonzero((mono[starts] == np.array(target)).all(axis=1))
     if not len(hit):
         return False
-    total[:, hit[0], 0] -= _residues([common], primes)[:, 0]
+    total[:, 0, hit[0]] -= _residues([common], primes)[:, 0]
     return not total.any()
 
 
-def _mul_mod(x, y, table, pcol):
-    """``mul`` on equal-shaped stacks of residue vectors (primes, ..., size)
+# Products of two residues are below (p - 1)^2 < 2^52, so an int64 sum of
+# this many of them, plus one reduced value below p, stays below 2^63.
+_MAX_TERMS = 2048
+
+
+def _leaf_sums(values, k: int, table, primes):
+    """Per leaf, sum_j of summand j's product of powers, reduced:
+    (primes, size, leaves), leaves in ``_split_plan`` order.
+
+    ``values`` holds each summand's t coefficient vectors and its scalar,
+    (primes, summands, t + 1, size).  Summands go in blocks of at most
+    ``_MAX_TERMS`` that keep the powers and half products near
+    ``BLOCK_BYTES``.  The pre-table sums of every leaf, one size x size
+    outer product each, accumulate over the blocks and are reduced after
+    each one, so the table works on reduced entries, once per leaf.
+    """
+    m, nmembers, t, n = values.shape
+    t -= 1
+    if t == 1:
+        acc = np.zeros((m, n, 1), dtype=np.int64)
+        rows = 1
+    else:
+        plan = _split_plan(t, k)
+        nleaves = len(plan.order)
+        acc = np.empty((m, n, n, nleaves), dtype=np.int64)
+        views = [acc[..., l0:l1].reshape(m, n, n, a1 - a0, b1 - b0)
+                 for a0, a1, b0, b1, l0, l1 in plan.splits]
+        rows = max(plan.first.shape[1], plan.second.shape[1])
+    # the largest temporaries: the powers and a half's outer products
+    block = BLOCK_BYTES // (8 * m * n * max((k + 1) * t, n * rows))
+    block = min(_MAX_TERMS, max(1, block))
+    for j in range(0, nmembers, block):
+        v = np.ascontiguousarray(values[:, j:j + block].transpose(0, 3, 2, 1))
+        c = v[:, :, :t]
+        pw = np.zeros((m, n, k + 1) + c.shape[2:], dtype=np.int64)
+        pw[:, 0, 0] = 1
+        pw[:, :, 0, 0] = v[:, :, t]
+        for b in range(1, k + 1):
+            pw[:, :, b] = _mul_mod(pw[:, :, b - 1], c, table, primes)
+        if t == 1:
+            acc += pw[:, :, k, 0].sum(axis=2, keepdims=True)
+            _reduce(acc, primes)
+            continue
+        pw = pw.reshape(m, n, (k + 1) * t, -1)
+        first = _half_products(pw, plan.first, table, primes)[:, :, None]
+        second = _half_products(pw, plan.second, table, primes).swapaxes(2, 3)[:, None]
+        for view, (a0, a1, b0, b1, _, _) in zip(views, plan.splits):
+            if j:
+                view += first[..., a0:a1, :] @ second[..., b0:b1]
+            else:
+                np.matmul(first[..., a0:a1, :], second[..., b0:b1], out=view)
+        _reduce(acc, primes)
+    if t == 1 or n == 1:  # Q's table is [[1]]
+        return acc.reshape(m, n, -1)
+    return _table_mod(acc.reshape(m, n * n, nleaves), table, primes)
+
+
+def _half_products(pw, index, table, primes):
+    """Each half assignment's product of powers, (primes, size, rows,
+    summands): ``index`` holds, per term of the half, the flat (power, term)
+    position of its power in every row, and takes one product less than
+    the half has terms."""
+    out = np.take(pw, index[0], axis=2)
+    for row in index[1:]:
+        out = _mul_mod(out, np.take(pw, row, axis=2), table, primes)
+    return out
+
+
+class _SplitPlan(NamedTuple):
+    """How ``_leaf_sums`` expands (sum of t terms)^k, t >= 2.
+
+    ``first`` and ``second`` give, per term of each half, the flat
+    (power * t + term) position of its power in every assignment of the
+    half, sorted by degree; ``splits`` holds one row per degree a of the
+    first half: its rows [a0, a1), the second half's rows [b0, b1) of degree
+    k - a, and the leaves [l0, l1) they pair into, first-half row major.
+    ``order`` maps those leaves to the rows of ``multinomial_table(t, k)``.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    splits: tuple
+    order: np.ndarray
+
+
+# Plans and multinomial residues kept, one per (t, k) and (t, k, primes).
+PLAN_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _split_plan(t: int, k: int) -> _SplitPlan:
+    """The split plan of (sum of t terms)^k, read off ``multinomial_table(t, k)``."""
+    counts = multinomial_table(t, k)[1]
+    h = t // 2
+    index, offsets, rows = [], [], []
+    for lo, part in ((0, counts[:, :h]), (h, counts[:, h:])):
+        degree = part.sum(axis=1)
+        assignments, inverse = np.unique(np.column_stack((degree, part)), axis=0,
+                                         return_inverse=True)
+        index.append((assignments[:, 1:].T * t + np.arange(lo, lo + part.shape[1])[:, None]
+                      ).astype(np.intp))
+        offsets.append(np.searchsorted(assignments[:, 0], np.arange(k + 2)))
+        rows.append(inverse.reshape(-1))
+    (fo, so), (fr, sr) = offsets, rows
+    fsize, ssize = np.diff(fo), np.diff(so)[::-1]
+    starts = np.concatenate(([0], np.cumsum(fsize * ssize)))
+    a = counts[:, :h].sum(axis=1)
+    order = np.argsort(starts[a] + (fr - fo[a]) * ssize[a] + sr - so[k - a])
+    splits = tuple(tuple(int(x) for x in (fo[a], fo[a + 1], so[k - a], so[k - a + 1],
+                                          starts[a], starts[a + 1]))
+                   for a in range(k + 1))
+    for array in (*index, order):
+        array.flags.writeable = False
+    return _SplitPlan(index[0], index[1], splits, order)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _multinomial_residues(t: int, k: int, m: int) -> np.ndarray:
+    """The multinomials of the leaves of ``_leaf_sums`` mod each of the m
+    largest primes, (m, 1, leaves)."""
+    out = _residues(multinomial_table(t, k)[2], _primes(m))
+    if t > 1:
+        out = out[:, _split_plan(t, k).order]
+    out = out.reshape(m, 1, -1)
+    out.flags.writeable = False
+    return out
+
+
+def _mul_mod(x, y, table, primes):
+    """``mul`` on equal-shaped stacks of residue vectors (primes, size, ...)
     mod each prime: the outer product, unreduced (entries below p^2 < 2^52),
     times the int64 table shared by all primes, reduced once.  Exact while
     (p - 1)^2 times the table's column norm stays below 2^63."""
-    m, n = x.shape[0], x.shape[-1]
+    m, n = x.shape[:2]
     if n == 1:  # the empty tower Q, whose table is [[1]]
-        return (x.reshape(m, -1, 1) * y.reshape(m, -1, 1) % pcol).reshape(x.shape)
-    outer = (x.reshape(m, -1, n, 1) * y.reshape(m, -1, 1, n)).reshape(m, -1, n * n)
-    return (outer @ table % pcol).reshape(x.shape)
+        return _reduce(x * y, primes)
+    outer = x.reshape(m, n, 1, -1) * y.reshape(m, 1, n, -1)
+    return _table_mod(outer.reshape(m, n * n, -1), table, primes).reshape(x.shape)
+
+
+def _table_mod(outer, table, primes):
+    """Basis-pair coefficients (primes, size^2, rows) times the table,
+    reduced mod each prime, (primes, size, rows): every tower product in
+    the modular kernel goes through here."""
+    return _reduce(table.T @ outer, primes)
+
+
+def _reduce(x, primes):
+    """x mod each prime, in place, x of shape (primes, ...) and contiguous.
+    From ``_FAST_DIVIDE`` entries on, x - (x // p) * p, since numpy divides
+    by a Python int far faster than it takes remainders."""
+    for row, p in zip(x.reshape(len(primes), -1), primes):
+        if row.size < _FAST_DIVIDE:
+            row %= p
+        else:
+            q = row // p
+            q *= p
+            row -= q
+    return x
+
+
+_FAST_DIVIDE = 2048
 
 
 def _residues(ints, primes) -> np.ndarray:

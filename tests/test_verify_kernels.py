@@ -189,11 +189,13 @@ def test_mul_mod_is_mul_reduced_mod_each_prime(tower):
     x = np.concatenate([np.broadcast_to(top, (3, 1, n)),  # every residue p - 1
                         rng.integers(0, top, size=(3, 16, n), endpoint=True)], axis=1)
     y = np.concatenate([x[:, :1], x[:, :0:-1]], axis=1)
-    got = _mul_mod(x, y, ring.table, top + 1)
+    # _mul_mod takes the basis on axis 1: (primes, size, products)
+    got = _mul_mod(np.ascontiguousarray(x.transpose(0, 2, 1)),
+                   np.ascontiguousarray(y.transpose(0, 2, 1)), ring.table, primes)
     for i, p in enumerate(primes):
         for b in range(x.shape[1]):
             want = [v % p for v in ring.mul(x[i, b].tolist(), y[i, b].tolist())]
-            assert got[i, b].tolist() == want, (i, b)
+            assert got[i, :, b].tolist() == want, (i, b)
 
 
 def test_towers_beyond_the_column_bound_use_the_integer_kernel():
