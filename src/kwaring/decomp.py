@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import comb, factorial, lcm, prod
 from operator import add
 from typing import NamedTuple
@@ -111,7 +111,11 @@ def verify(cert: Certificate) -> bool:
     norm is at most ``_MAX_COLUMN_NORM``, the expansion runs in numpy int64
     modulo primes whose product exceeds a certified bound on every
     coefficient of the difference (``_modular_kernel``), so a zero residue
-    there is a zero coefficient as well.
+    there is a zero coefficient as well.  That kernel splits each form's t
+    terms into two halves and sums the products of the halves' assignments
+    over the summands before it applies the tower table, so each leaf of
+    the expansion takes k powers, h - 1 and t - h - 1 half products
+    (h = t // 2) and one cross product, whatever the number of summands.
     """
     args = _cleared(cert)
     ring, parts, k, _ = args
@@ -161,11 +165,13 @@ def _cleared(cert: Certificate):
 
 
 # The modular kernel takes an expansion from this ``_expansion_work`` on.
-# Below it numpy's fixed cost per call outweighs the Python-int kernel; at
-# and above it the modular kernel was the faster one on every certificate of
-# the decompose sweep, the criterion-02 grid and product_linear(2..7)
-# (2-CPU Xeon VM, Python 3.11).
-MODULAR_MIN_WORK = 1024
+# Below it numpy's fixed cost per call can outweigh the Python-int kernel.
+# Over the decompose sweep, the criterion-02 grid and product_linear(2..7)
+# (2-CPU Xeon VM, Python 3.11, numpy 2.4), the largest expansion on which
+# the Python-int kernel was faster has work 612 (the three-cube certificate
+# for x0^4 x1 x2 and its transforms, tower size 6); on every certificate
+# from 960 on, the modular kernel was faster.
+MODULAR_MIN_WORK = 768
 # The modular kernel's largest tower: its work and table grow as size^2.
 MODULAR_MAX_SIZE = 45
 PRIME_LIMIT = 1 << 26
@@ -180,7 +186,9 @@ BLOCK_BYTES = 1 << 18
 
 def _expansion_work(ring, parts, k: int) -> int:
     """Size estimate of an expansion: leaves * terms * size^2 summed over the
-    summands, about the tower products the Python-int kernel forms."""
+    summands, about the work of the tower products the Python-int kernel
+    forms.  The modular kernel forms far fewer; this is the size that
+    ``MODULAR_MIN_WORK`` is measured in."""
     return ring.size ** 2 * sum(
         comb(k + len(p[0]) - 1, k) * len(p[0]) for p in parts
     )
@@ -259,17 +267,19 @@ def _modular_kernel(ring, parts, k: int, target) -> bool:
 
     Summands are grouped by support.  The scalar enters as the zeroth power
     of the first term, ``pw[0] = s``, the others start at ``pw[0] = 1``, and
-    ``pw[b] = mul(pw[b-1], c)``: k powers per term.  The t terms split into
-    halves [0, h) and [h, t), h = t // 2, and every summand multiplies out
-    each half's assignments of every degree, with h - 1 and t - h - 1
-    products.  A leaf pairs a first-half assignment of degree a with a
-    second-half one of degree k - a; one matmul over the summands per split
-    a sums the outer products of those pairs (``_leaf_sums``), and the table
-    turns each leaf's sum into its value: one cross product per leaf.  So
-    with t terms every contribution of a summand carries L^(k+t-1) * D^k *
-    D_s, and since the table is linear the sums equal the leaf-by-leaf
-    products exactly.  Leaves are multiplied by their multinomials, and all
-    are grouped by output monomial with one sort.
+    ``pw[b] = mul(pw[b-1], c)``.  A leaf, one exponent assignment (b_u) of
+    the t terms, is the product of its powers pw_u[b_u].  The terms split
+    into halves [0, h) and [h, t), h = t // 2, and a leaf pairs a first-half
+    assignment of degree a with a second-half one of degree k - a.  Every
+    summand multiplies out each half's assignments of every degree; for
+    each split a one matmul over the summands sums the outer products of
+    the pairs, and the table, which is linear, turns each leaf's sum into
+    the sum of its products (``_leaf_sums``).  So a leaf takes k powers,
+    h - 1 and t - h - 1 half products and one cross product, k + t - 1 in
+    all (a single term has no split: its leaf is pw[k]), and every
+    contribution of a summand carries L^(k+t-1) * D^k * D_s, as in the
+    leaf-by-leaf product.  Leaves are multiplied by their multinomials, and
+    all are grouped by output monomial with one sort.
 
     ``_height_bound`` bounds every coefficient of the exact difference, and
     the primes' product exceeds it, so all residues are zero exactly when
@@ -286,121 +296,157 @@ def _modular_kernel(ring, parts, k: int, target) -> bool:
     dens, common = _modular_denominators(ring, parts, k)
     primes = _primes_above(_height_bound(ring, parts, k))
     m = len(primes)
-    groups: dict = {}
+    moduli = np.array(primes, dtype=np.int64).reshape(m, 1)
+    groups: dict = {}  # support -> each summand's coefficients, then its scalar
     for (support, coeffs, _, s, _), den in zip(parts, dens):
-        groups.setdefault(support, []).append(
-            list(coeffs) + [ring.scale(s, common // den)]
-        )
-    monomials, sums = [], []
-    for support, members in groups.items():
+        flat = groups.setdefault(support, [])
+        for c in coeffs:
+            flat += c
+        flat += ring.scale(s, common // den)
+    monomials, sums, places, offset = [], [], [], 0
+    for support, flat in groups.items():
         t = len(support)
-        flat = [a for vectors in members for v in vectors for a in v]
-        values = _residues(flat, primes).reshape(m, len(members), t + 1, n)
-        leaves = _leaf_sums(values, k, ring.table, primes)
+        values = _residues(flat, moduli).reshape(m, -1, t + 1, n)
+        leaves = _leaf_sums(values, k, ring.table, moduli)
         leaves *= _multinomial_residues(t, k, m)
-        sums.append(_reduce(leaves, primes))
-        counts = multinomial_table(t, k)[1]
-        if t > 1:
-            counts = counts[_split_plan(t, k).order]
-        monomials.append(counts @ np.array(support, dtype=np.int64).reshape(t, len(target)))
+        places.append(_split_plan(t, k).position + offset)
+        offset += leaves.shape[2]
+        sums.append(_reduce(leaves, moduli))
+        monomials.append(multinomial_table(t, k)[1]
+                         @ np.array(support, dtype=np.int64).reshape(t, len(target)))
     if not sums:
         return False
     mono = np.concatenate(monomials)
     order = np.lexsort(mono.T if mono.shape[1] else np.zeros((1, len(mono)), np.int64))
     mono = mono[order]
     starts = np.flatnonzero(np.concatenate(([True], (mono[1:] != mono[:-1]).any(axis=1))))
-    total = _reduce(np.add.reduceat(np.concatenate(sums, axis=2)[:, :, order], starts, axis=2),
-                    primes)
+    leaves = np.concatenate(sums, axis=2)[:, :, np.concatenate(places)[order]]
+    total = _reduce(np.add.reduceat(leaves, starts, axis=2), moduli)
     hit = np.flatnonzero((mono[starts] == np.array(target)).all(axis=1))
     if not len(hit):
         return False
-    total[:, 0, hit[0]] -= _residues([common], primes)[:, 0]
+    total[:, 0, hit[0]] -= _residues([common], moduli)[:, 0]
     return not total.any()
 
 
-# Products of two residues are below (p - 1)^2 < 2^52, so an int64 sum of
-# this many of them, plus one reduced value below p, stays below 2^63.
+# The cross step sums, per entry, one product of two residues per summand:
+# each is below (p - 1)^2 < 2^52, so at most this many of them, added to one
+# reduced value below p, stay below 2^63 before the sum is reduced.  The
+# table then works on reduced entries, below p: its sums stay below
+# p * column_norm <= 2^37.
 _MAX_TERMS = 2048
 
 
-def _leaf_sums(values, k: int, table, primes):
+def _leaf_sums(values, k: int, table, moduli):
     """Per leaf, sum_j of summand j's product of powers, reduced:
     (primes, size, leaves), leaves in ``_split_plan`` order.
 
     ``values`` holds each summand's t coefficient vectors and its scalar,
-    (primes, summands, t + 1, size).  Summands go in blocks of at most
-    ``_MAX_TERMS`` that keep the powers and half products near
-    ``BLOCK_BYTES``.  The pre-table sums of every leaf, one size x size
-    outer product each, accumulate over the blocks and are reduced after
-    each one, so the table works on reduced entries, once per leaf.
+    (primes, summands, t + 1, size).  Leaves go in chunks of whole splits,
+    and summands in blocks of at most ``_MAX_TERMS``, so that the pre-table
+    sums of a chunk, one size x size outer product per leaf, and a block's
+    powers and half products stay near ``BLOCK_BYTES``.  A chunk's sums
+    accumulate over the blocks and are reduced after each one, so the table
+    works on reduced entries, once per leaf.
     """
     m, nmembers, t, n = values.shape
     t -= 1
-    if t == 1:
-        acc = np.zeros((m, n, 1), dtype=np.int64)
-        rows = 1
-    else:
-        plan = _split_plan(t, k)
-        nleaves = len(plan.order)
-        acc = np.empty((m, n, n, nleaves), dtype=np.int64)
-        views = [acc[..., l0:l1].reshape(m, n, n, a1 - a0, b1 - b0)
-                 for a0, a1, b0, b1, l0, l1 in plan.splits]
-        rows = max(plan.first.shape[1], plan.second.shape[1])
-    # the largest temporaries: the powers and a half's outer products
-    block = BLOCK_BYTES // (8 * m * n * max((k + 1) * t, n * rows))
-    block = min(_MAX_TERMS, max(1, block))
-    for j in range(0, nmembers, block):
-        v = np.ascontiguousarray(values[:, j:j + block].transpose(0, 3, 2, 1))
-        c = v[:, :, :t]
-        pw = np.zeros((m, n, k + 1) + c.shape[2:], dtype=np.int64)
-        pw[:, 0, 0] = 1
-        pw[:, :, 0, 0] = v[:, :, t]
-        for b in range(1, k + 1):
-            pw[:, :, b] = _mul_mod(pw[:, :, b - 1], c, table, primes)
-        if t == 1:
-            acc += pw[:, :, k, 0].sum(axis=2, keepdims=True)
-            _reduce(acc, primes)
-            continue
-        pw = pw.reshape(m, n, (k + 1) * t, -1)
-        first = _half_products(pw, plan.first, table, primes)[:, :, None]
-        second = _half_products(pw, plan.second, table, primes).swapaxes(2, 3)[:, None]
-        for view, (a0, a1, b0, b1, _, _) in zip(views, plan.splits):
-            if j:
-                view += first[..., a0:a1, :] @ second[..., b0:b1]
-            else:
-                np.matmul(first[..., a0:a1, :], second[..., b0:b1], out=view)
-        _reduce(acc, primes)
-    if t == 1 or n == 1:  # Q's table is [[1]]
-        return acc.reshape(m, n, -1)
-    return _table_mod(acc.reshape(m, n * n, nleaves), table, primes)
+    if t == 1:  # no split: the one leaf is pw[k]
+        total = np.zeros((m, n, 1), dtype=np.int64)
+        block = _block(m, n, k, t, 1)
+        for j in range(0, nmembers, block):
+            pw = _powers(values[:, j:j + block], k, table, moduli)
+            total += pw[:, :, k, 0].sum(axis=2, keepdims=True)
+            _reduce(total, moduli)
+        return total
+    plan = _split_plan(t, k)
+    out = np.empty((m, n, len(plan.position)), dtype=np.int64)
+    for chunk in _leaf_chunks(plan.splits, BLOCK_BYTES // (8 * m * n * n)):
+        (f0, _, _, s1, l0, _), (_, f1, s0, _, _, l1) = chunk[0], chunk[-1]
+        acc = np.empty((m, n, n, l1 - l0), dtype=np.int64)
+        pairs = [(acc[..., c0 - l0:c1 - l0].reshape(m, n, n, a1 - a0, b1 - b0),
+                  slice(a0 - f0, a1 - f0), slice(b0 - s0, b1 - s0))
+                 for a0, a1, b0, b1, c0, c1 in chunk]
+        block = _block(m, n, k, t, n * max(f1 - f0, s1 - s0))
+        for j in range(0, nmembers, block):
+            pw = _powers(values[:, j:j + block], k, table, moduli).reshape(m, n, (k + 1) * t, -1)
+            first = _half_products(pw, plan.first[:, f0:f1], table, moduli)[:, :, None]
+            second = _half_products(pw, plan.second[:, s0:s1], table, moduli)
+            second = second.swapaxes(2, 3)[:, None]
+            for view, rows, cols in pairs:
+                if j:
+                    view += first[..., rows, :] @ second[..., cols]
+                else:
+                    np.matmul(first[..., rows, :], second[..., cols], out=view)
+            _reduce(acc, moduli)
+        out[..., l0:l1] = (acc.reshape(m, n, -1) if n == 1  # Q's table is [[1]]
+                           else _table_mod(acc.reshape(m, n * n, -1), table, moduli))
+    return out
 
 
-def _half_products(pw, index, table, primes):
+def _block(m: int, n: int, k: int, t: int, rows: int) -> int:
+    """Summands per block: the largest temporaries, the powers and a half's
+    outer products (``rows`` values per summand), stay near ``BLOCK_BYTES``."""
+    return min(_MAX_TERMS, max(1, BLOCK_BYTES // (8 * m * n * max((k + 1) * t, rows))))
+
+
+def _leaf_chunks(splits, budget: int):
+    """Consecutive splits, grouped so that each group has at most ``budget``
+    leaves, or is one split.  Consecutive splits read contiguous rows of
+    both halves."""
+    chunk, size = [], 0
+    for split in splits:
+        leaves = split[5] - split[4]
+        if chunk and size + leaves > budget:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(split)
+        size += leaves
+    yield chunk
+
+
+def _powers(values, k: int, table, moduli):
+    """pw[b] = mul(pw[b-1], c) for b = 1..k from pw[0] = s for the first
+    term and 1 for the others: (primes, size, k + 1, terms, summands) from
+    ``values`` of shape (primes, summands, terms + 1, size)."""
+    v = np.ascontiguousarray(values.transpose(0, 3, 2, 1))
+    m, n, t, nmembers = v.shape
+    c = v[:, :, :t - 1]
+    pw = np.zeros((m, n, k + 1, t - 1, nmembers), dtype=np.int64)
+    pw[:, 0, 0] = 1
+    pw[:, :, 0, 0] = v[:, :, t - 1]
+    for b in range(1, k + 1):
+        pw[:, :, b] = _mul_mod(pw[:, :, b - 1], c, table, moduli)
+    return pw
+
+
+def _half_products(pw, index, table, moduli):
     """Each half assignment's product of powers, (primes, size, rows,
     summands): ``index`` holds, per term of the half, the flat (power, term)
     position of its power in every row, and takes one product less than
     the half has terms."""
     out = np.take(pw, index[0], axis=2)
     for row in index[1:]:
-        out = _mul_mod(out, np.take(pw, row, axis=2), table, primes)
+        out = _mul_mod(out, np.take(pw, row, axis=2), table, moduli)
     return out
 
 
 class _SplitPlan(NamedTuple):
-    """How ``_leaf_sums`` expands (sum of t terms)^k, t >= 2.
+    """How ``_leaf_sums`` expands (sum of t terms)^k.
 
     ``first`` and ``second`` give, per term of each half, the flat
     (power * t + term) position of its power in every assignment of the
     half, sorted by degree; ``splits`` holds one row per degree a of the
     first half: its rows [a0, a1), the second half's rows [b0, b1) of degree
     k - a, and the leaves [l0, l1) they pair into, first-half row major.
-    ``order`` maps those leaves to the rows of ``multinomial_table(t, k)``.
+    ``position`` gives, for each row of ``multinomial_table(t, k)``, the
+    place of its leaf in that order.
     """
 
     first: np.ndarray
     second: np.ndarray
     splits: tuple
-    order: np.ndarray
+    position: np.ndarray
 
 
 # Plans and multinomial residues kept, one per (t, k) and (t, k, primes).
@@ -412,80 +458,89 @@ def _split_plan(t: int, k: int) -> _SplitPlan:
     """The split plan of (sum of t terms)^k, read off ``multinomial_table(t, k)``."""
     counts = multinomial_table(t, k)[1]
     h = t // 2
-    index, offsets, rows = [], [], []
-    for lo, part in ((0, counts[:, :h]), (h, counts[:, h:])):
+    halves = []
+    for lo, hi in ((0, h), (h, t)):
+        part = counts[:, lo:hi]
         degree = part.sum(axis=1)
-        assignments, inverse = np.unique(np.column_stack((degree, part)), axis=0,
-                                         return_inverse=True)
-        index.append((assignments[:, 1:].T * t + np.arange(lo, lo + part.shape[1])[:, None]
-                      ).astype(np.intp))
-        offsets.append(np.searchsorted(assignments[:, 0], np.arange(k + 2)))
-        rows.append(inverse.reshape(-1))
-    (fo, so), (fr, sr) = offsets, rows
-    fsize, ssize = np.diff(fo), np.diff(so)[::-1]
-    starts = np.concatenate(([0], np.cumsum(fsize * ssize)))
+        rows, row_of = np.unique(np.column_stack((degree, part)), axis=0, return_inverse=True)
+        index = (rows[:, 1:].T * t + np.arange(lo, hi)[:, None]).astype(np.intp)
+        start = np.searchsorted(rows[:, 0], np.arange(k + 2))  # degree a: [start[a], start[a+1])
+        halves.append((index, start, row_of.reshape(-1)))
+    (first, fstart, frow), (second, sstart, srow) = halves
+    fsize, ssize = np.diff(fstart), np.diff(sstart)
+    leaf_start = np.concatenate(([0], np.cumsum(fsize * ssize[::-1])))
     a = counts[:, :h].sum(axis=1)
-    order = np.argsort(starts[a] + (fr - fo[a]) * ssize[a] + sr - so[k - a])
-    splits = tuple(tuple(int(x) for x in (fo[a], fo[a + 1], so[k - a], so[k - a + 1],
-                                          starts[a], starts[a + 1]))
-                   for a in range(k + 1))
-    for array in (*index, order):
+    position = leaf_start[a] + (frow - fstart[a]) * ssize[k - a] + srow - sstart[k - a]
+    splits = tuple(
+        tuple(int(x) for x in (fstart[a], fstart[a + 1], sstart[k - a], sstart[k - a + 1],
+                               leaf_start[a], leaf_start[a + 1]))
+        for a in range(k + 1) if fsize[a]
+    )
+    for array in (first, second, position):
         array.flags.writeable = False
-    return _SplitPlan(index[0], index[1], splits, order)
+    return _SplitPlan(first, second, splits, position)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _multinomial_residues(t: int, k: int, m: int) -> np.ndarray:
     """The multinomials of the leaves of ``_leaf_sums`` mod each of the m
     largest primes, (m, 1, leaves)."""
-    out = _residues(multinomial_table(t, k)[2], _primes(m))
-    if t > 1:
-        out = out[:, _split_plan(t, k).order]
+    residues = _residues(multinomial_table(t, k)[2],
+                         np.array(_primes(m), dtype=np.int64).reshape(m, 1))
+    out = np.empty_like(residues)
+    out[:, _split_plan(t, k).position] = residues
     out = out.reshape(m, 1, -1)
     out.flags.writeable = False
     return out
 
 
-def _mul_mod(x, y, table, primes):
+def _mul_mod(x, y, table, moduli):
     """``mul`` on equal-shaped stacks of residue vectors (primes, size, ...)
     mod each prime: the outer product, unreduced (entries below p^2 < 2^52),
     times the int64 table shared by all primes, reduced once.  Exact while
     (p - 1)^2 times the table's column norm stays below 2^63."""
     m, n = x.shape[:2]
     if n == 1:  # the empty tower Q, whose table is [[1]]
-        return _reduce(x * y, primes)
-    outer = x.reshape(m, n, 1, -1) * y.reshape(m, 1, n, -1)
-    return _table_mod(outer.reshape(m, n * n, -1), table, primes).reshape(x.shape)
+        return _reduce(x * y, moduli)
+    outer = x[:, :, None] * y[:, None]
+    return _table_mod(outer.reshape(m, n * n, -1), table, moduli).reshape(x.shape)
 
 
-def _table_mod(outer, table, primes):
+def _table_mod(outer, table, moduli):
     """Basis-pair coefficients (primes, size^2, rows) times the table,
     reduced mod each prime, (primes, size, rows): every tower product in
     the modular kernel goes through here."""
-    return _reduce(table.T @ outer, primes)
+    return _reduce(table.T @ outer, moduli)
 
 
-def _reduce(x, primes):
-    """x mod each prime, in place, x of shape (primes, ...) and contiguous.
-    From ``_FAST_DIVIDE`` entries on, x - (x // p) * p, since numpy divides
-    by a Python int far faster than it takes remainders."""
-    for row, p in zip(x.reshape(len(primes), -1), primes):
-        if row.size < _FAST_DIVIDE:
-            row %= p
-        else:
-            q = row // p
-            q *= p
+# From this many entries per prime on, ``_reduce`` divides instead of taking
+# remainders: numpy divides by a fixed divisor far faster, but takes three
+# calls for it.
+_FAST_DIVIDE = 2048
+
+
+def _reduce(x, moduli):
+    """x mod each prime, in place; x is contiguous, of shape (primes, ...),
+    and ``moduli`` holds the primes, one per row."""
+    p = moduli.reshape(-1, 1)
+    flat = x.reshape(len(p), -1)
+    if flat.shape[1] < _FAST_DIVIDE:
+        flat %= p
+    else:
+        for row, prime in zip(flat, p[:, 0]):
+            q = row // prime
+            q *= prime
             row -= q
     return x
 
 
-_FAST_DIVIDE = 2048
-
-
-def _residues(ints, primes) -> np.ndarray:
+def _residues(ints, moduli) -> np.ndarray:
     """Python ints reduced mod each prime: int64 of shape (primes, len(ints))."""
-    flat = np.array(ints, dtype=object)
-    return np.stack([(flat % p).astype(np.int64) for p in primes])
+    try:
+        return np.array(ints, dtype=np.int64) % moduli.reshape(-1, 1)
+    except OverflowError:  # beyond int64: reduce the Python ints
+        flat = np.array(ints, dtype=object)
+        return np.stack([(flat % int(p)).astype(np.int64) for p in moduli.reshape(-1)])
 
 
 def _modular_denominators(ring, parts, k: int):
@@ -500,19 +555,18 @@ def _height_bound(ring, parts, k: int) -> int:
     """H >= |every coefficient| of the modular kernel's exact difference.
 
     In the 1-norm, ``mul`` grows a product by at most rho = ``ring.row_norm``,
-    and the leaves of a summand with t terms take k + t - 1 products, so
+    and a leaf of a summand with t terms takes k + t - 1 products: k powers,
+    h - 1 and t - h - 1 half products and one cross product (h = t // 2).
+    The cross step sums those products over the summands before the table
+    applies, which by linearity changes no exact value, so
 
         H = common + sum_j (common / den_j) |s_j| rho^(k+t_j-1) (sum_u |c_ju|)^k
     """
     dens, common = _modular_denominators(ring, parts, k)
     rho = ring.row_norm
-
-    def norm(x) -> int:
-        return sum(abs(a) for a in x)
-
     return common + sum(
-        common // den * norm(s) * rho ** (k + len(support) - 1)
-        * sum(norm(c) for c in coeffs) ** k
+        common // den * sum(map(abs, s)) * rho ** (k + len(support) - 1)
+        * sum(map(abs, chain.from_iterable(coeffs))) ** k
         for (support, coeffs, _, s, _), den in zip(parts, dens)
     )
 

@@ -7,12 +7,17 @@ golden files and on a seeded single-digit corruption of each golden file, and
 the height bound must dominate every coefficient of the exact difference
 that the integer kernel computes.  The modular kernel's tower product
 ``_mul_mod`` must equal ``IntegerStructure.mul`` reduced mod each prime, up to
-the table column norm that keeps it exact in int64.  The sympy oracle runs
-both kernels too (``tests/test_verify_oracle.py``).
+the table column norm that keeps it exact in int64.  The modular kernel
+splits each support's terms into two halves and sums the outer products of
+their assignments over the summands, so the table sees one cross product per
+leaf; its edge cases (one term, odd term counts, mixed supports, a support
+group too large for one int64 accumulation) and that count are pinned here.
+The sympy oracle runs both kernels too (``tests/test_verify_oracle.py``).
 """
 
 import random
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +35,13 @@ from kwaring.decomp import (
     _modular_kernel,
     _mul_mod,
     _primes,
+    _split_plan,
     decompose,
     monomial_linear_decomp,
     product_linear,
     verify,
 )
-from kwaring.polynomials import Monomial, Polynomial
+from kwaring.polynomials import Monomial, Polynomial, multinomial_table
 from kwaring.rank import KInstance
 from kwaring.rationals import Q
 
@@ -133,6 +139,119 @@ def test_modular_edge_cases():
     assert _both(_cert(qi, 2, 2, (2, 0), squares[:2])) == (False, False)
 
 
+def _rescaled(cert, factor):
+    """cert with its first scalar times ``factor``: false unless factor is 1."""
+    (s, form), *rest = cert.summands
+    return _cert(cert.tower, len(cert.variables), cert.k, cert.target.exponents,
+                 [(s * factor, form)] + rest)
+
+
+def _lifted(cert, tower, name):
+    """cert's identity over ``tower``: every form times the generator g and
+    every scalar over g^k, which must be rational."""
+    g = tower.generator_element(name)
+    gk = (g ** cert.k).rational_value()
+    summands = [
+        (tower.scalar(s.rational_value() / gk),
+         Polynomial(tower, f.nvars, {e: g * c.rational_value() for e, c in f.terms.items()}))
+        for s, f in cert.summands
+    ]
+    return _cert(tower, len(cert.variables), cert.k, cert.target.exponents, summands)
+
+
+def _polarized_product():
+    """6 x0 x1 x2 by inclusion-exclusion over cubes: supports of 3, 2 and 1
+    terms in one certificate."""
+    t = EMPTY_TOWER
+    x = [Polynomial.variable(t, 3, i) for i in range(3)]
+    sixth = t.scalar(Q(1, 6))
+    summands = [(sixth, x[0] + x[1] + x[2])]
+    summands += [(-sixth, x[i] + x[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    summands += [(sixth, xi) for xi in x]
+    return _cert(t, 3, 3, (1, 1, 1), summands)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _cert(EMPTY_TOWER, 1, 4, (4,), [(EMPTY_TOWER.scalar(Q(1, 2)),
+                                             Polynomial.variable(EMPTY_TOWER, 1, 0))] * 2),
+    lambda: decomp.two_square(Monomial((1, 1))),
+    lambda: monomial_linear_decomp((1, 2, 2)),
+    lambda: product_linear(5),
+    _polarized_product,
+    lambda: product_linear(4),
+    lambda: _lifted(product_linear(4), _sqrt_tower(), "u"),
+    lambda: monomial_linear_decomp((1, 2, 3)),
+    lambda: _lifted(product_linear(4), _two_sqrt_tower(), "w"),
+    lambda: _lifted(product_linear(4), _nested_tower(), "w"),
+    lambda: _lifted(product_linear(4), _sqrt_of(2047), "u"),
+], ids=["t = 1, two summands", "t = 2", "t = 3", "t = 5", "supports of 3, 2 and 1 terms",
+        "Q", "size 2", "cyclotomic size 4", "two square roots, size 4", "nested, size 4",
+        "u^2 = 2047, at the column bound"])
+def test_split_kernel_agrees_with_the_integer_kernel(build):
+    cert = build()
+    assert _both(cert) == (True, True)
+    assert _both(_rescaled(cert, 2)) == (False, False)
+
+
+def test_a_support_group_beyond_one_int64_accumulation():
+    """x0 x1 as 1,050 copies each of (1/4200)(x0 + x1)^2 and
+    -(1/4200)(x0 - x1)^2: 2,100 summands of one support, more than the
+    2,048 products one int64 sum holds before it is reduced."""
+    t = EMPTY_TOWER
+    x0, x1 = (Polynomial.variable(t, 2, i) for i in range(2))
+    summands = [(t.scalar(Q(1, 4200)), x0 + x1), (t.scalar(Q(-1, 4200)), x0 - x1)] * 1050
+    cert = _cert(t, 2, 2, (1, 1), summands)
+    assert len({tuple(sorted(f.terms)) for _, f in cert.summands}) == 1
+    assert len(cert.summands) > decomp._MAX_TERMS
+    assert decomp._expansion_work(*_cleared(cert)[:3]) >= decomp.MODULAR_MIN_WORK
+    assert _both(cert) == (True, True)
+    assert _both(_rescaled(cert, Q(1051, 1050))) == (False, False)
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_split_plan_pairs_every_leaf_once(t):
+    for k in range(1, 7):
+        plan = _split_plan(t, k)
+        counts = multinomial_table(t, k)[1]
+        assert sorted(plan.position.tolist()) == list(range(len(counts)))
+        first, second = plan.first.T // t, plan.second.T // t  # powers per term
+        leaves = np.zeros_like(counts)
+        for a0, a1, b0, b1, l0, l1 in plan.splits:
+            assert l1 - l0 == (a1 - a0) * (b1 - b0)
+            pairs = [np.concatenate((first[i], second[j]))
+                     for i in range(a0, a1) for j in range(b0, b1)]
+            assert all(row.sum() == k for row in pairs)
+            leaves[l0:l1] = pairs
+        assert (leaves[plan.position] == counts).all(), (t, k)
+
+
+def test_each_leaf_reaches_the_table_once(monkeypatch):
+    """Rows that reach the tower table while verifying the (1, 2, 3, 3)
+    averaging certificate: k powers per term, the products of each half's
+    assignments, then one cross product per leaf, where a leaf-by-leaf
+    expansion takes t - 1 products per leaf and summand."""
+    cert = monomial_linear_decomp((1, 2, 3, 3))
+    args = _cleared(cert)
+    ring, parts, k, _ = args
+    members, t = len(parts), len(parts[0][0])
+    assert (members, t, k, ring.size > 1) == (48, 4, 9, True)
+    rows = []
+    table_mod = decomp._table_mod
+
+    def counted(outer, table, moduli):
+        rows.append(outer.shape[2])
+        return table_mod(outer, table, moduli)
+
+    monkeypatch.setattr(decomp, "_table_mod", counted)
+    assert _modular_kernel(*args) is True
+    h = t // 2
+    halves = comb(k + h, h) * (h - 1) + comb(k + t - h, t - h) * (t - h - 1)
+    leaves = comb(k + t - 1, t - 1)
+    assert rows[-1] == leaves
+    assert sum(rows) == members * t * k + members * halves + leaves == 7228
+    assert sum(rows) < members * t * k + members * (t - 1) * leaves
+
+
 def test_plain_q_grid_and_large_towers():
     cert = monomial_linear_decomp((1, 1, 1, 1))  # product of four variables over Q
     assert cert.tower == EMPTY_TOWER and _both(cert) == (True, True)
@@ -168,6 +287,19 @@ def test_verify_memory_stays_bounded():
     assert peak < 2 * 2 ** 20, peak
 
 
+def test_verify_memory_of_product_linear_8_stays_bounded():
+    """Under the 2.14 MiB that the leaf-by-leaf kernel peaked at."""
+    cert = product_linear(8)
+    verify(cert)
+    tracemalloc.start()
+    try:
+        assert verify(cert) is True
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
+
+
 def _sqrt_of(n):
     """The tower u^2 = n: its table column norm is n + 1."""
     return EMPTY_TOWER.extend("u", (Q(-n), Q(0), Q(1)))
@@ -191,7 +323,7 @@ def test_mul_mod_is_mul_reduced_mod_each_prime(tower):
     y = np.concatenate([x[:, :1], x[:, :0:-1]], axis=1)
     # _mul_mod takes the basis on axis 1: (primes, size, products)
     got = _mul_mod(np.ascontiguousarray(x.transpose(0, 2, 1)),
-                   np.ascontiguousarray(y.transpose(0, 2, 1)), ring.table, primes)
+                   np.ascontiguousarray(y.transpose(0, 2, 1)), ring.table, top + 1)
     for i, p in enumerate(primes):
         for b in range(x.shape[1]):
             want = [v % p for v in ring.mul(x[i, b].tolist(), y[i, b].tolist())]
