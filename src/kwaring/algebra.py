@@ -362,19 +362,19 @@ class IntegerStructure:
         denominator: an element found there is not cleared again, and one
         that is not is added.  Returned vectors may be shared with it.
         """
-        position, own = self._position, []
+        if known is None:
+            known = {}
+        own = []
         for el in elements:
-            hit = None if known is None else known.get(id(el))
+            hit = known.get(id(el))
             if hit is None:
                 den = lcm(*(c.denominator for c in el.terms.values()))
                 v = [0] * self.size
                 for e, c in el.terms.items():
-                    v[position[e]] = c.numerator * (den // c.denominator)
-                hit = (v, den)
-                if known is not None:
-                    known[id(el)] = hit
+                    v[self._position[e]] = c.numerator * (den // c.denominator)
+                hit = known[id(el)] = (v, den)
             own.append(hit)
-        den = lcm(*(d for _, d in own))
+        den = lcm(*{d for _, d in own})
         return [v if d == den else [a * (den // d) for a in v] for v, d in own], den
 
     def _row(self, i: int, j: int) -> tuple:

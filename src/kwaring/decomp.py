@@ -156,10 +156,9 @@ def _cleared(cert: Certificate):
             raise MalformedCertificateError(
                 f"forms must be nonzero homogeneous of degree {d}"
             )
-        sc = cert.tower._coerce(scalar)
-        support = tuple(sorted(form.terms))
-        coeffs, den = ring.clear([form.terms[e] for e in support], known)
-        (s,), den_s = ring.clear([sc], known)
+        support, elements = zip(*sorted(form.terms.items()))
+        coeffs, den = ring.clear(elements, known)
+        (s,), den_s = ring.clear([cert.tower._coerce(scalar)], known)
         parts.append((support, coeffs, den, s, den_s))
     return ring, parts, k, cert.target.exponents
 

@@ -208,6 +208,15 @@ def test_a_support_group_beyond_one_int64_accumulation():
     assert _both(_rescaled(cert, Q(1051, 1050))) == (False, False)
 
 
+def test_small_blocks_give_the_same_verdicts(monkeypatch):
+    """With a tiny ``BLOCK_BYTES`` the leaves go in many chunks and the
+    summands in many blocks; the verdicts do not move."""
+    monkeypatch.setattr(decomp, "BLOCK_BYTES", 1 << 10)
+    for cert in (monomial_linear_decomp((1, 2, 3, 3)), product_linear(6), _polarized_product()):
+        assert _both(cert) == (True, True)
+        assert _both(_rescaled(cert, 2)) == (False, False)
+
+
 @pytest.mark.parametrize("t", range(1, 7))
 def test_split_plan_pairs_every_leaf_once(t):
     for k in range(1, 7):
