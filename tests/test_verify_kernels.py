@@ -217,6 +217,20 @@ def test_small_blocks_give_the_same_verdicts(monkeypatch):
         assert _both(_rescaled(cert, 2)) == (False, False)
 
 
+def test_int64_sums_are_reduced_between_blocks():
+    """x0 as 2,048 pairs -(1/4096)(x1 - x0) and -(1/4096)(-x1 - x0), k = 1:
+    every scalar and every x0 coefficient is -1, residue p - 1, so each of
+    the 4,096 summands adds a product near 2^52 to one leaf, and the two
+    blocks of 2,048 overflow int64 unless each is reduced."""
+    t = EMPTY_TOWER
+    x0, x1 = (Polynomial.variable(t, 2, i) for i in range(2))
+    minus = t.scalar(Q(-1, 4096))
+    cert = _cert(t, 2, 1, (1, 0), [(minus, x1 - x0), (minus, -x1 - x0)] * 2048)
+    assert len(cert.summands) == 4096
+    assert _both(cert) == (True, True)
+    assert _both(_rescaled(cert, 3)) == (False, False)
+
+
 @pytest.mark.parametrize("t", range(1, 7))
 def test_split_plan_pairs_every_leaf_once(t):
     for k in range(1, 7):
