@@ -295,30 +295,6 @@ def _evaluate(terms, roots) -> complex:
     return total
 
 
-def _denominator_bound(tower: ExtensionTower) -> int:
-    """A common denominator L for every product of two basis monomials.
-
-    Built generator by generator.  Let g have degree d, let D be the least
-    common denominator of its defining coefficients and L' the bound of the
-    prefix tower.  A basis product is (P1 * P2) * g^m with prefix monomials
-    P1, P2 and m <= 2d - 2, and reducing g^m takes at most d - 1 rewrites.
-    With rational coefficients the rewrites multiply rationals only, so
-    L = L' * D^(d-1).  With coefficients over the prefix, every rewrite
-    after the first multiplies two prefix elements (a factor L' each), and
-    so do P1 * P2 and the final product, so L = L'^d * D^(d-1).  Table rows
-    check that their denominators divide L.
-    """
-    bound = 1
-    for g in tower.generators:
-        terms = [t for frozen in g.lower_coeffs for t in frozen]
-        den = lcm(*(int(c.denominator) for _, c in terms))
-        if any(any(e) for e, _ in terms):
-            bound = bound ** g.degree * den ** (g.degree - 1)
-        else:
-            bound = bound * den ** (g.degree - 1)
-    return bound
-
-
 class IntegerStructure:
     """Exact integer arithmetic on one tower, for expansion kernels.
 
@@ -329,38 +305,57 @@ class IntegerStructure:
 
         b_i * b_j = (1/L) * sum_k T_ijk * b_k
 
-    with integer T and one common denominator L for the tower (1 for
-    cyclotomic towers), so ``mul(x, y)`` returns L*x*y and a product of r
-    factors carries L^(r-1).  Table rows are filled lazily, only for the
-    pairs that occur; ``row_norm``, ``column_norm`` and ``table`` fill all
-    of them.  The empty tower Q is the size-1 case: L = 1 and an element is
-    ``[n]``.
+    with integer T and L the least common multiple of the denominators of
+    the tower's structure constants (1 for cyclotomic towers), so
+    ``mul(x, y)`` returns L*x*y and a product of r factors carries L^(r-1).
+    The whole table, L and the table's norms are built when the structure is
+    made, one normal form per unordered basis pair, so a tower above
+    ``decomp.MODULAR_MAX_SIZE``, where only the Python-int kernel runs, pays
+    for every pair even when its expansions touch few.  The empty tower Q is
+    the size-1 case: L = 1 and an element is ``[n]``.
     """
 
     def __init__(self, tower: ExtensionTower):
         degs = tower.degrees
         self.tower = tower
-        self.size = prod(degs)
-        self.denominator = _denominator_bound(tower)
+        self.size = n = prod(degs)
         strides, step = [], 1
         for d in degs:
             strides.append(step)
             step *= d
-        self._basis = [
-            tuple((i // s) % d for s, d in zip(strides, degs)) for i in range(self.size)
-        ]
-        self._position = {b: i for i, b in enumerate(self._basis)}
-        self._rows = [None] * (self.size * self.size)
-        self.zero = [0] * self.size
-        self.one = [1] + [0] * (self.size - 1)
+        basis = [tuple((i // s) % d for s, d in zip(strides, degs)) for i in range(n)]
+        self._position = {b: i for i, b in enumerate(basis)}
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        products = [tower.normalize({tuple(a + b for a, b in zip(basis[i], basis[j])): Q(1)})
+                    for i, j in pairs]
+        self.denominator = big = lcm(*(int(c.denominator) for p in products for c in p.values()))
+        rows, rho, cols = {}, 0, [0] * n
+        for (i, j), p in zip(pairs, products):
+            row = rows[i, j] = rows[j, i] = tuple(
+                (self._position[f], int(c.numerator) * (big // int(c.denominator)))
+                for f, c in p.items())
+            rho = max(rho, sum(abs(t) for _, t in row))
+            for k, t in row:
+                cols[k] += abs(t) if i == j else 2 * abs(t)
+        self._rows = [rows[i, j] for i in range(n) for j in range(n)]
+        # rho = max over basis pairs (i, j) of sum_k |T_ijk|, so that
+        # |mul(x, y)|_1 <= rho * |x|_1 * |y|_1 in the 1-norm
+        self.row_norm = rho
+        # c = max over k of sum_ij |T_ijk|: an output coefficient of the table
+        # product is at most c times the largest product of two input
+        # coefficients
+        self.column_norm = max(cols)
+        self.zero = [0] * n
+        self.one = [1] + [0] * (n - 1)
 
     def clear(self, elements, known=None):
         """Clear denominators: (values, D) with element_i == values_i / D and
         D the least common denominator of all coefficients.
 
-        ``known`` maps id(element) to that element's own cleared vector and
-        denominator: an element found there is not cleared again, and one
-        that is not is added.  Returned vectors may be shared with it.
+        ``known`` maps id(element) to (element, cleared vector, denominator):
+        an element found there is not cleared again, and one that is not is
+        added.  Holding the element keeps its id from passing to another
+        object while ``known`` lives.  Returned vectors may be shared with it.
         """
         if known is None:
             known = {}
@@ -372,51 +367,10 @@ class IntegerStructure:
                 v = [0] * self.size
                 for e, c in el.terms.items():
                     v[self._position[e]] = c.numerator * (den // c.denominator)
-                hit = known[id(el)] = (v, den)
+                hit = known[id(el)] = (el, v, den)
             own.append(hit)
-        den = lcm(*{d for _, d in own})
-        return [v if d == den else [a * (den // d) for a in v] for v, d in own], den
-
-    def _row(self, i: int, j: int) -> tuple:
-        n, big = self.size, self.denominator
-        e = tuple(a + b for a, b in zip(self._basis[i], self._basis[j]))
-        if all(a < d for a, d in zip(e, self.tower.degrees)):
-            row = ((self._position[e], big),)
-        else:
-            row = []
-            for f, c in self.tower.normalize({e: Q(1)}).items():
-                num, den = int(c.numerator), int(c.denominator)
-                if big % den:
-                    raise ArithmeticError("structure constant outside the denominator bound")
-                row.append((self._position[f], num * (big // den)))
-            row = tuple(row)
-        self._rows[i * n + j] = self._rows[j * n + i] = row
-        return row
-
-    def _full_rows(self) -> list:
-        n = self.size
-        for i in range(n):
-            for j in range(i, n):
-                if self._rows[i * n + j] is None:
-                    self._row(i, j)
-        return self._rows
-
-    @cached_property
-    def row_norm(self) -> int:
-        """rho = max over basis pairs (i, j) of sum_k |T_ijk|, so that
-        ``|mul(x, y)|_1 <= rho * |x|_1 * |y|_1`` in the 1-norm."""
-        return max(sum(abs(t) for _, t in row) for row in self._full_rows())
-
-    @cached_property
-    def column_norm(self) -> int:
-        """c = max over k of sum_ij |T_ijk|: an output coefficient of the
-        table product is at most c times the largest product of two input
-        coefficients."""
-        cols = [0] * self.size
-        for row in self._full_rows():
-            for k, t in row:
-                cols[k] += abs(t)
-        return max(cols)
+        den = lcm(*{d for _, _, d in own})
+        return [v if d == den else [a * (den // d) for a in v] for _, v, d in own], den
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -425,7 +379,7 @@ class IntegerStructure:
         which the caller must check fits int64."""
         n = self.size
         table = np.zeros((n * n, n), dtype=np.int64)
-        for ij, row in enumerate(self._full_rows()):
+        for ij, row in enumerate(self._rows):
             for k, t in row:
                 table[ij, k] = t
         return table
@@ -440,11 +394,8 @@ class IntegerStructure:
             if a:
                 base = i * n
                 for j, b in ys:
-                    row = rows[base + j]
-                    if row is None:
-                        row = self._row(i, j)
                     ab = a * b
-                    for k, t in row:
+                    for k, t in rows[base + j]:
                         out[k] += ab * t
         return out
 

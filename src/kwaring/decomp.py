@@ -76,13 +76,14 @@ def default_names(nvars: int) -> tuple:
 @dataclass
 class Certificate:
     """A power-sum identity for a monomial.  Immutable by convention;
-    ``verified`` is a cache set by verify()."""
+    ``verified`` is a cache set by verify().  A summand's scalar is a tower
+    element or a rational (int or ``Q``), which stands for that element."""
 
     variables: tuple
     k: int
     target: Monomial
     tower: ExtensionTower
-    summands: tuple  # ((scalar: RingElement, form: Polynomial), ...)
+    summands: tuple  # ((scalar: RingElement or rational, form: Polynomial), ...)
     provenance: tuple = ()
     verified: bool = False
 

@@ -183,3 +183,13 @@ def test_tower_equality_and_reuse():
     t2 = roots_of_unity_tower([4, 3])
     assert t1 == t2
     assert ExtensionTower(t1.generators) == t1
+
+
+@pytest.mark.parametrize("tower", [EMPTY_TOWER, roots_of_unity_tower([3])], ids=["Q", "z3"])
+def test_clear_never_mistakes_a_new_element_for_a_freed_one(tower):
+    """``clear`` keys ``known`` by id: a temporary freed after one call must
+    not lend its cleared vector to the next temporary at the same address."""
+    ring = tower.integer_structure()
+    known: dict = {}
+    got = [ring.clear([tower.scalar(Q(2 * j + 1, 16))], known) for j in range(16)]
+    assert got == [([[2 * j + 1] + [0] * (ring.size - 1)], 16) for j in range(16)]

@@ -156,6 +156,22 @@ def test_verify_detects_wrong_identity():
     assert verify(flipped) is False
 
 
+def _rational_scalar_cert(scalars):
+    x0 = Polynomial.variable(EMPTY_TOWER, 1, 0)
+    return Certificate(("x0",), 1, Monomial((1,)), EMPTY_TOWER,
+                       tuple((s, x0) for s in scalars))
+
+
+def test_verify_clears_each_rational_scalar_as_its_own():
+    """Plain rational scalars become a fresh tower element each: none may be
+    read as another's cleared value, however often verify runs."""
+    false = _rational_scalar_cert([Q(1, 16)] + [Q(1, 16) + j % 2 for j in range(1, 16)])
+    assert sum(s for s, _ in false.summands) == 9
+    true = _rational_scalar_cert([Q(1, 16)] * 16)
+    assert [verify(false) for _ in range(50)] == [False] * 50
+    assert [verify(true) for _ in range(50)] == [True] * 50
+
+
 def test_verify_empty_summands():
     cert = Certificate(
         variables=("x0", "x1"),

@@ -17,8 +17,10 @@ kernels, called directly.
 """
 
 import random
-from math import prod
+from itertools import product
+from math import lcm, prod
 
+import numpy as np
 import pytest
 import sympy
 
@@ -158,8 +160,8 @@ def _nested_tower():
 
 
 def _nested_cubic_tower():
-    """u^2 = 1/2, w^3 = (u/3) w^2: (u w^2)^2 = w^2 / 36 needs the prefix
-    factor of the nested denominator bound."""
+    """u^2 = 1/2, w^3 = (u/3) w^2: (u w^2)^2 = w^2 / 36, so the table's
+    common denominator is 36."""
     t = EMPTY_TOWER.extend("u", (Q(-1, 2), Q(0), Q(1)))
     return t.extend("w", (Q(0), Q(0), t.generator_element("u") * Q(-1, 3), Q(1)))
 
@@ -226,7 +228,7 @@ def test_random_certificates_agree_with_the_oracle(tower):
 
 def test_structure_table_matches_normal_form_products():
     """The integer structure table against the tower's own normal form, on
-    towers whose denominators need the bound L > 1."""
+    towers whose common denominator L is above 1."""
     rng = random.Random(7)
     for tower in (_sqrt_tower(), _two_sqrt_tower(), _nested_tower(),
                   _nested_cubic_tower(), roots_of_unity_tower([5, 6])):
@@ -238,7 +240,50 @@ def test_structure_table_matches_normal_form_products():
             lhs = ring.scale(ring.mul(va, vb), den_ab)
             rhs = ring.scale(vab, den * den * ring.denominator)
             assert lhs == rhs
+    # L is the least common denominator of the structure constants
     assert _sqrt_tower().integer_structure().denominator == 6
+    u, w = (_nested_tower().generator_element(g) for g in "uw")
+    assert (u * w) * (u * w) == u * Q(1, 6)
+    assert _nested_tower().integer_structure().denominator == 6
     u, w = (_nested_cubic_tower().generator_element(g) for g in "uw")
     assert (u * w * w) * (u * w * w) == w * w * Q(1, 36)
+    assert _nested_cubic_tower().integer_structure().denominator == 36
     assert roots_of_unity_tower([3, 4, 5]).integer_structure().denominator == 1
+
+
+TABLE_TOWERS = {
+    "Q": EMPTY_TOWER,
+    "sqrt": _sqrt_tower(),
+    "two-sqrt": _two_sqrt_tower(),
+    "nested": _nested_tower(),
+    "nested-cubic": _nested_cubic_tower(),
+    "cyclotomic 3, 4": roots_of_unity_tower([3, 4]),
+    "cyclotomic 3, 4, 5": roots_of_unity_tower([3, 4, 5]),
+    "cyclotomic 5, 6": roots_of_unity_tower([5, 6]),
+    "special_x04x1x2": special_x04x1x2().tower,
+}
+
+
+@pytest.mark.parametrize("tower", TABLE_TOWERS.values(), ids=TABLE_TOWERS.keys())
+def test_every_table_row_is_the_normal_form_of_its_basis_product(tower):
+    """Over all basis pairs: row i * size + j of the table is L times the
+    normal form of b_i * b_j, and L is the lcm of those normal forms'
+    denominators; the norms are their definitions over the table."""
+    ring = tower.integer_structure()
+    # mixed-radix basis, first generator fastest
+    basis = [tuple(reversed(e)) for e in product(*(range(d) for d in reversed(tower.degrees)))]
+    n, big = len(basis), ring.denominator
+    assert ring.size == n
+    dens = []
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            nf = tower.normalize({tuple(a + b for a, b in zip(bi, bj)): Q(1)})
+            dens += [c.denominator for c in nf.values()]
+            want = [0] * n
+            for e, c in nf.items():
+                want[basis.index(e)] = c * big
+            assert ring.table[i * n + j].tolist() == want, (i, j)
+    assert big == lcm(*dens)
+    table = np.abs(ring.table)
+    assert ring.row_norm == table.sum(axis=1).max()
+    assert ring.column_norm == table.sum(axis=0).max()
