@@ -6,27 +6,33 @@ The coefficient domain for everything exact in this package is a quotient ring
 
 where each generator ``gi`` carries a monic defining polynomial ``pi`` of
 degree >= 2 whose lower coefficients involve only earlier generators.
-Elements are kept in normal form: every generator exponent stays strictly
-below the degree of its defining polynomial, and zero coefficients are never
-stored.  The tower is not required to be a field.  Any identity that reduces
-to zero in the quotient also holds in the complex numbers after mapping each
-generator to one of its roots (such a map always exists, choosing roots
-innermost-first), which is exactly what certificate verification needs.
+The monomials whose every generator exponent stays strictly below its degree
+form a basis, and an element is stored in one form: the integer numerators of
+its basis coordinates over one positive denominator, in lowest terms.
+Products come from the tower's integer multiplication table
+(``IntegerStructure``), built the first time the tower multiplies; building
+and printing elements need only the degrees.  The tower is not required to
+be a field.  Any identity that reduces to zero in the quotient also holds in
+the complex numbers after mapping each generator to one of its roots (such a
+map always exists, choosing roots innermost-first), which is exactly what
+certificate verification needs.
 
 Roots of unity are adjoined through cyclotomic polynomials rather than
 ``x^m - 1`` so that the power sums ``sum_j z^(j*e)`` collapse to ``m`` or
-``0`` exactly in normal form.
+``0`` exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from math import lcm, prod
+from itertools import product
+from math import gcd, lcm
+from operator import add
 
 import numpy as np
 
-from .rationals import Q, as_rational, is_rational, rational_text
+from .rationals import Q, as_rational, is_rational
 
 
 class TowerError(ValueError):
@@ -93,18 +99,21 @@ class Generator:
         return (self.name, self.degree, self.lower_coeffs)
 
 
-def _freeze_terms(terms: dict) -> tuple:
-    return tuple(sorted(terms.items()))
-
-
 class ExtensionTower:
     """Immutable ordered sequence of monic generators over Q."""
 
-    __slots__ = ("generators", "_degrees", "_rewrites", "_integer", "_key")
+    __slots__ = ("generators", "_degrees", "basis", "_position", "_rewrites", "_integer",
+                 "_key")
 
     def __init__(self, generators=()):
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "_degrees", tuple(g.degree for g in self.generators))
+        degs = tuple(g.degree for g in self.generators)
+        object.__setattr__(self, "_degrees", degs)
+        # basis monomials in mixed-radix order, the first generator fastest,
+        # so index 0 is 1
+        basis = tuple(e[::-1] for e in product(*(range(d) for d in reversed(degs))))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_position", {e: i for i, e in enumerate(basis)})
         object.__setattr__(self, "_rewrites", None)
         object.__setattr__(self, "_integer", None)
         object.__setattr__(self, "_key", tuple(g.key() for g in self.generators))
@@ -123,11 +132,9 @@ class ExtensionTower:
             raise TowerError("defining polynomial must have degree >= 2")
         if any(g.name == name for g in self.generators):
             raise TowerError(f"duplicate generator name {name!r}")
-        lead = coeffs[-1]
-        lead_el = self._coerce(lead)
-        if lead_el.terms != {self._zero_key(): Q(1)}:
+        if self._coerce(coeffs[-1]) != 1:
             raise TowerError("defining polynomial must be monic")
-        lower = tuple(_freeze_terms(self._coerce(c).terms) for c in coeffs[:-1])
+        lower = tuple(tuple(sorted(self._coerce(c).terms.items())) for c in coeffs[:-1])
         gen = Generator(name, len(coeffs) - 1, lower)
         return ExtensionTower(self.generators + (gen,))
 
@@ -156,34 +163,34 @@ class ExtensionTower:
         parts = ", ".join(f"{g.name}[{g.degree}]" for g in self.generators)
         return f"ExtensionTower(Q; {parts})"
 
-    def _zero_key(self):
-        return (0,) * len(self.generators)
-
     # -- element constructors ----------------------------------------------
 
     def scalar(self, q) -> "RingElement":
         q = as_rational(q)
-        terms = {} if q == 0 else {self._zero_key(): q}
-        return RingElement(self, terms)
+        return RingElement(self, (q.numerator,) + (0,) * (len(self.basis) - 1), q.denominator)
 
     def zero(self) -> "RingElement":
-        return RingElement(self, {})
+        return self.scalar(0)
 
     def one(self) -> "RingElement":
         return self.scalar(1)
 
     def generator_element(self, name: str) -> "RingElement":
-        for i, g in enumerate(self.generators):
-            if g.name == name:
-                e = [0] * len(self.generators)
-                e[i] = 1
-                return RingElement(self, {tuple(e): Q(1)})
-        raise TowerError(f"no generator named {name!r}")
+        if name not in self.names:
+            raise TowerError(f"no generator named {name!r}")
+        return self.element({tuple(int(g.name == name) for g in self.generators): 1})
 
-    def element(self, raw_terms: dict) -> "RingElement":
-        """Build an element from possibly unreduced terms."""
-        clean = {tuple(e): as_rational(c) for e, c in raw_terms.items()}
-        return RingElement(self, self.normalize(clean))
+    def element(self, terms: dict) -> "RingElement":
+        """Build an element from {exponent tuple: int or Q} terms, possibly
+        unreduced."""
+        position = self._position
+        if not terms.keys() <= position.keys():
+            terms = self.normalize(terms)
+        den = lcm(*[c.denominator for c in terms.values()])
+        numerators = [0] * len(self.basis)
+        for e, c in terms.items():
+            numerators[position[e]] = c.numerator * (den // c.denominator)
+        return RingElement(self, numerators, den)
 
     def _coerce(self, x) -> "RingElement":
         if isinstance(x, RingElement):
@@ -254,7 +261,8 @@ class ExtensionTower:
         return {e: c for e, c in out.items() if c != 0}
 
     def integer_structure(self) -> "IntegerStructure":
-        """Integer arithmetic on this tower, built once per tower instance."""
+        """The multiplication table of this tower, built once per tower
+        instance, the first time the tower multiplies or is verified."""
         structure = self._integer
         if structure is None:
             structure = IntegerStructure(self)
@@ -296,12 +304,12 @@ def _evaluate(terms, roots) -> complex:
 
 
 class IntegerStructure:
-    """Exact integer arithmetic on one tower, for expansion kernels.
+    """The integer multiplication table of one tower.
 
-    An element is carried as integers over a denominator the caller keeps:
-    a dense list of ``size`` ints, one per basis monomial (exponents below
-    the degrees, mixed-radix index with the first generator fastest, so
-    index 0 is 1).  Basis products come from an integer structure table
+    Vectors are dense sequences of ``size`` ints, one per basis monomial of
+    the tower (``ExtensionTower.basis``), the numerators of a ``RingElement``
+    or the cleared values that the expansion kernels carry.  Basis products
+    come from an integer structure table
 
         b_i * b_j = (1/L) * sum_k T_ijk * b_k
 
@@ -309,31 +317,26 @@ class IntegerStructure:
     the tower's structure constants (1 for cyclotomic towers), so
     ``mul(x, y)`` returns L*x*y and a product of r factors carries L^(r-1).
     The whole table, L and the table's norms are built when the structure is
-    made, one normal form per unordered basis pair, so a tower above
-    ``decomp.MODULAR_MAX_SIZE``, where only the Python-int kernel runs, pays
-    for every pair even when its expansions touch few.  The empty tower Q is
-    the size-1 case: L = 1 and an element is ``[n]``.
+    made, the first time the tower multiplies: a pair whose product is itself
+    a basis monomial is the single entry L, and every other pair takes one
+    normal form.  The empty tower Q is the size-1 case: L = 1 and a vector
+    is ``[n]``.
     """
 
     def __init__(self, tower: ExtensionTower):
-        degs = tower.degrees
+        basis, position = tower.basis, tower._position
         self.tower = tower
-        self.size = n = prod(degs)
-        strides, step = [], 1
-        for d in degs:
-            strides.append(step)
-            step *= d
-        basis = [tuple((i // s) % d for s, d in zip(strides, degs)) for i in range(n)]
-        self._position = {b: i for i, b in enumerate(basis)}
+        self.size = n = len(basis)
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        products = [tower.normalize({tuple(a + b for a, b in zip(basis[i], basis[j])): Q(1)})
-                    for i, j in pairs]
-        self.denominator = big = lcm(*(int(c.denominator) for p in products for c in p.values()))
+        products = []
+        for i, j in pairs:
+            e = tuple(map(add, basis[i], basis[j]))
+            products.append({e: 1} if e in position else tower.normalize({e: Q(1)}))
+        self.denominator = big = lcm(*(c.denominator for p in products for c in p.values()))
         rows, rho, cols = {}, 0, [0] * n
         for (i, j), p in zip(pairs, products):
             row = rows[i, j] = rows[j, i] = tuple(
-                (self._position[f], int(c.numerator) * (big // int(c.denominator)))
-                for f, c in p.items())
+                (position[f], c.numerator * (big // c.denominator)) for f, c in p.items())
             rho = max(rho, sum(abs(t) for _, t in row))
             for k, t in row:
                 cols[k] += abs(t) if i == j else 2 * abs(t)
@@ -348,29 +351,15 @@ class IntegerStructure:
         self.zero = [0] * n
         self.one = [1] + [0] * (n - 1)
 
-    def clear(self, elements, known=None):
+    @staticmethod
+    def clear(elements):
         """Clear denominators: (values, D) with element_i == values_i / D and
-        D the least common denominator of all coefficients.
-
-        ``known`` maps id(element) to (element, cleared vector, denominator):
-        an element found there is not cleared again, and one that is not is
-        added.  Holding the element keeps its id from passing to another
-        object while ``known`` lives.  Returned vectors may be shared with it.
-        """
-        if known is None:
-            known = {}
-        own = []
-        for el in elements:
-            hit = known.get(id(el))
-            if hit is None:
-                den = lcm(*(c.denominator for c in el.terms.values()))
-                v = [0] * self.size
-                for e, c in el.terms.items():
-                    v[self._position[e]] = c.numerator * (den // c.denominator)
-                hit = known[id(el)] = (el, v, den)
-            own.append(hit)
-        den = lcm(*{d for _, _, d in own})
-        return [v if d == den else [a * (den // d) for a in v] for _, v, d in own], den
+        D the lcm of the elements' denominators.  A returned vector may be an
+        element's own numerator tuple."""
+        den = lcm(*[el.denominator for el in elements])
+        return [el.numerators if el.denominator == den
+                else [a * (den // el.denominator) for a in el.numerators]
+                for el in elements], den
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -436,35 +425,43 @@ def unity_root(tower: ExtensionTower, m: int) -> "RingElement":
 
 
 class RingElement:
-    """Normal-form element of an extension tower.  Treated as immutable."""
+    """Element of an extension tower: the integer numerators of its
+    coordinates over the tower's basis monomials and one positive
+    denominator, in lowest terms.  Treated as immutable."""
 
-    __slots__ = ("tower", "terms")
+    __slots__ = ("tower", "numerators", "denominator")
 
-    def __init__(self, tower: ExtensionTower, terms: dict):
+    def __init__(self, tower: ExtensionTower, numerators, denominator: int = 1):
+        g = gcd(denominator, *numerators)
+        if g != 1:
+            numerators = [a // g for a in numerators]
+            denominator //= g
         self.tower = tower
-        self.terms = terms
+        self.numerators = tuple(numerators)
+        self.denominator = denominator
 
     # -- queries -------------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{exponents: rational} over the nonzero coordinates, derived anew
+        on each read."""
+        basis, den = self.tower.basis, self.denominator
+        return {basis[i]: Q(a, den) for i, a in enumerate(self.numerators) if a}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(self.numerators)
 
     def __bool__(self):
-        return bool(self.terms)
+        return any(self.numerators)
 
     def is_rational(self) -> bool:
-        if not self.terms:
-            return True
-        if len(self.terms) != 1:
-            return False
-        return self.tower._zero_key() in self.terms
+        return not any(self.numerators[1:])
 
     def rational_value(self):
-        if not self.terms:
-            return Q(0)
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.terms[self.tower._zero_key()]
+        return Q(self.numerators[0], self.denominator)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -481,20 +478,15 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            prev = out.get(e)
-            s = c if prev is None else prev + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return RingElement(self.tower, out)
+        den = lcm(self.denominator, o.denominator)
+        a, b = den // self.denominator, den // o.denominator
+        return RingElement(self.tower,
+                           [a * x + b * y for x, y in zip(self.numerators, o.numerators)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(self.tower, {e: -c for e, c in self.terms.items()})
+        return RingElement(self.tower, [-a for a in self.numerators], self.denominator)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -512,26 +504,9 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t1, t2 = self.terms, o.terms
-        if not t1 or not t2:
-            return self.tower.zero()
-        if len(t1) == 1 and len(t2) == 1:
-            # products of in-range single terms are already in normal form
-            (e1, c1), = t1.items()
-            (e2, c2), = t2.items()
-            e = tuple(a + b for a, b in zip(e1, e2))
-            degs = self.tower._degrees
-            if all(e[i] < degs[i] for i in range(len(degs))):
-                return RingElement(self.tower, {e: c1 * c2})
-            return RingElement(self.tower, self.tower.normalize({e: c1 * c2}))
-        raw: dict = {}
-        for e1, c1 in t1.items():
-            for e2, c2 in t2.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                prev = raw.get(e)
-                raw[e] = c if prev is None else prev + c
-        return RingElement(self.tower, self.tower.normalize(raw))
+        ring = self.tower.integer_structure()
+        return RingElement(self.tower, ring.mul(self.numerators, o.numerators),
+                           ring.denominator * self.denominator * o.denominator)
 
     __rmul__ = __mul__
 
@@ -551,27 +526,27 @@ class RingElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.numerators == o.numerators and self.denominator == o.denominator
 
     def __hash__(self):
-        return hash((self.tower, _freeze_terms(self.terms)))
+        # a rational element equals its rational value, so it hashes as one
+        if self.is_rational():
+            return hash(self.rational_value())
+        return hash((self.numerators, self.denominator))
 
     # -- output ------------------------------------------------------------
 
     def text(self) -> str:
         """Canonical text: terms ascending by exponent tuple, every generator
         printed with an explicit exponent, e.g. ``(1/6)*u^1*z3^0``."""
-        if not self.terms:
-            return "0"
-        names = self.tower.names
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            piece = f"({rational_text(c)})"
-            for name, exp in zip(names, e):
-                piece += f"*{name}^{exp}"
-            parts.append(piece)
-        return " + ".join(parts)
+        basis, den = self.tower.basis, self.denominator
+        terms = []
+        for i, a in enumerate(self.numerators):
+            if a:
+                g = gcd(a, den)
+                terms.append((basis[i], a // g, den // g))
+        terms.sort()
+        return terms_text(self.tower.names, terms)
 
     def __repr__(self):
         return f"RingElement({self.text()})"
@@ -579,3 +554,18 @@ class RingElement:
     def evaluate(self, roots) -> complex:
         """Numeric value with each generator mapped to the given root."""
         return _evaluate(self.terms.items(), roots)
+
+
+def terms_text(names, terms) -> str:
+    """Canonical text of (exponents, numerator, denominator) terms over the
+    generators ``names``: sorted by exponents, each coefficient in lowest
+    terms with a positive denominator, ``0`` when there are none."""
+    if not terms:
+        return "0"
+    parts = []
+    for exps, n, d in terms:
+        piece = f"({n})" if d == 1 else f"({n}/{d})"
+        for name, e in zip(names, exps):
+            piece += f"*{name}^{e}"
+        parts.append(piece)
+    return " + ".join(parts)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import EMPTY_TOWER, ExtensionTower, RingElement, TowerError
+from .algebra import EMPTY_TOWER, ExtensionTower, RingElement, TowerError, terms_text
 from .decomp import Certificate
 from .polynomials import Monomial, Polynomial
 from .rationals import RATIONAL_PATTERN, parse_rational, rational_text
@@ -82,7 +82,7 @@ def _parse_ring_element(tower: ExtensionTower, text: str) -> RingElement:
         terms[exps] = coeff
     if list(terms) != sorted(terms):
         raise CertificateParseError(f"ring element terms out of order: {text!r}")
-    return RingElement(tower, terms)
+    return tower.element(terms)
 
 
 class _Lines:
@@ -130,10 +130,11 @@ def serialize(cert: Certificate) -> str:
     gens = cert.tower.generators
     out.append(f"generators: {len(gens)}")
     for i, gen in enumerate(gens):
-        prefix = ExtensionTower(gens[:i])
+        names = cert.tower.names[:i]
         out.append(f"generator: {gen.name} {gen.degree}")
         for coeff_terms in gen.lower_coeffs:
-            out.append("coeff: " + RingElement(prefix, dict(coeff_terms)).text())
+            out.append("coeff: " + terms_text(names, [(e, c.numerator, c.denominator)
+                                                      for e, c in coeff_terms]))
     out.append(f"summands: {len(cert.summands)}")
     for scalar, form in cert.summands:
         out.append("scalar: " + scalar.text())

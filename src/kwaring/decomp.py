@@ -6,13 +6,14 @@ A certificate records a claimed identity
 
 with M a monomial of degree k*d, the G_j homogeneous degree-d forms and the
 c_j scalars, everything over one extension tower.  ``verify`` re-expands the
-right side exactly, never in floating point: denominators are cleared once
-and tower elements become integer vectors, ``[n]`` over Q.  Small expansions
-run in Python ints.  Large ones run in numpy int64 modulo primes just below
-2^26 whose product exceeds a certified bound H on every coefficient of the
-difference, so a difference that vanishes modulo every prime vanishes
-exactly.  Either way a True verdict proves the identity.
-No construction in this module returns an unverified certificate.
+right side exactly, never in floating point: a tower element already is an
+integer vector over one denominator (``[n]`` over Q), so clearing a form or
+a scalar takes an lcm and a scale.  Small expansions run in Python ints.
+Large ones run in numpy int64 modulo primes just below 2^26 whose product
+exceeds a certified bound H on every coefficient of the difference, so a
+difference that vanishes modulo every prime vanishes exactly.  Either way a
+True verdict proves the identity.  No construction in this module returns
+an unverified certificate.
 
 The constructions:
 
@@ -104,12 +105,13 @@ def verify(cert: Certificate) -> bool:
     expansion differs from the target returns False.  True means the
     identity is proven exactly.
 
-    Each summand's form and scalar are cleared to integer vectors (of length
-    1 over Q) over their least common denominators D and D_s, and the
-    summands are brought to one common denominator.  Small expansions run in
-    Python ints (``_integer_kernel``); from ``MODULAR_MIN_WORK`` on, over a
-    tower of at most ``MODULAR_MAX_SIZE`` basis elements whose table column
-    norm is at most ``_MAX_COLUMN_NORM``, the expansion runs in numpy int64
+    Each summand's form and scalar are brought to integer vectors (of length
+    1 over Q) over their least common denominators D and D_s by scaling the
+    elements' numerators, and the summands are brought to one common
+    denominator.  Small expansions run in Python ints (``_integer_kernel``);
+    from ``MODULAR_MIN_WORK`` on, over a tower of at most
+    ``MODULAR_MAX_SIZE`` basis elements whose table column norm is at most
+    ``_MAX_COLUMN_NORM``, the expansion runs in numpy int64
     modulo primes whose product exceeds a certified bound on every
     coefficient of the difference (``_modular_kernel``), so a zero residue
     there is a zero coefficient as well.  That kernel splits each form's t
@@ -147,20 +149,19 @@ def _cleared(cert: Certificate):
     d = cert.target.degree // k
     ring = cert.tower.integer_structure()
     parts = []
-    known: dict = {}  # each distinct coefficient object is cleared once
     for scalar, form in cert.summands:
         if not isinstance(form, Polynomial) or form.tower != cert.tower:
             raise MalformedCertificateError("form is not over the certificate tower")
         if form.nvars != nv:
             raise MalformedCertificateError("form arity differs from variable list")
-        if {sum(e) for e in form.terms} != {d}:
+        if set(map(sum, form.terms)) != {d}:
             raise MalformedCertificateError(
                 f"forms must be nonzero homogeneous of degree {d}"
             )
         support, elements = zip(*sorted(form.terms.items()))
-        coeffs, den = ring.clear(elements, known)
-        (s,), den_s = ring.clear([cert.tower._coerce(scalar)], known)
-        parts.append((support, coeffs, den, s, den_s))
+        coeffs, den = ring.clear(elements)
+        s = cert.tower._coerce(scalar)
+        parts.append((support, coeffs, den, s.numerators, s.denominator))
     return ring, parts, k, cert.target.exponents
 
 

@@ -187,9 +187,20 @@ def test_tower_equality_and_reuse():
 
 @pytest.mark.parametrize("tower", [EMPTY_TOWER, roots_of_unity_tower([3])], ids=["Q", "z3"])
 def test_clear_never_mistakes_a_new_element_for_a_freed_one(tower):
-    """``clear`` keys ``known`` by id: a temporary freed after one call must
-    not lend its cleared vector to the next temporary at the same address."""
+    """A temporary freed after one ``clear`` must not lend its cleared vector
+    to the next temporary at the same address."""
     ring = tower.integer_structure()
-    known: dict = {}
-    got = [ring.clear([tower.scalar(Q(2 * j + 1, 16))], known) for j in range(16)]
-    assert got == [([[2 * j + 1] + [0] * (ring.size - 1)], 16) for j in range(16)]
+    got = [ring.clear([tower.scalar(Q(2 * j + 1, 16))]) for j in range(16)]
+    assert got == [([(2 * j + 1,) + (0,) * (ring.size - 1)], 16) for j in range(16)]
+
+
+@pytest.mark.parametrize("tower", [EMPTY_TOWER, roots_of_unity_tower([3])], ids=["Q", "z3"])
+def test_rational_element_hashes_as_its_value(tower):
+    """Equal objects hash alike: a rational element is found under its
+    rational value in a dict, and the other way round."""
+    for q in (Q(1, 2), Q(0), Q(-3), Q(7, 6)):
+        el = tower.scalar(q)
+        assert el == q and hash(el) == hash(q)
+        assert {q: 1}.get(el) == 1 and {el: 1}.get(q) == 1
+    z = (tower.one() + tower.one()) * Q(1, 4)
+    assert z == Q(1, 2) and hash(z) == hash(Q(1, 2))

@@ -42,33 +42,46 @@ from kwaring.rank import KInstance
 from kwaring.rationals import Q
 
 
-def oracle(cert: Certificate) -> bool:
-    nv, gens = len(cert.variables), cert.tower.generators
-    xs = sympy.symbols(f"x0:{nv}")
-    gs = sympy.symbols(f"g0:{len(gens)}")
+class SymbolicTower:
+    """A tower's generators as sympy symbols g0, g1, ... and its defining
+    polynomials, read from the raw coefficient terms of its generators."""
 
-    def element(terms):
+    def __init__(self, tower):
+        gens = tower.generators
+        self.gs = sympy.symbols(f"g0:{len(gens)}")
+        self.relations = [
+            self.gs[j] ** gen.degree
+            + sum(self.element(frozen) * self.gs[j] ** i
+                  for i, frozen in enumerate(gen.lower_coeffs))
+            for j, gen in enumerate(gens)
+        ]
+
+    def element(self, terms):
+        """sympy expression of (exponents, rational) terms."""
         return sum(
             sympy.Rational(int(c.numerator), int(c.denominator))
-            * prod(g ** e for g, e in zip(gs, exps))
+            * prod(g ** e for g, e in zip(self.gs, exps))
             for exps, c in terms
         )
 
-    relations = [
-        gs[j] ** gen.degree
-        + sum(element(frozen) * gs[j] ** i for i, frozen in enumerate(gen.lower_coeffs))
-        for j, gen in enumerate(gens)
-    ]
+    def is_zero(self, expr, *xs) -> bool:
+        """Whether expr vanishes modulo the defining polynomials."""
+        expr = sympy.expand(expr)
+        if expr == 0 or not self.gs:
+            return expr == 0
+        _, rem = sympy.reduced(expr, self.relations, *reversed(self.gs), *xs, order="lex")
+        return sympy.expand(rem) == 0
+
+
+def oracle(cert: Certificate) -> bool:
+    xs = sympy.symbols(f"x0:{len(cert.variables)}")
+    sym = SymbolicTower(cert.tower)
     expr = -prod(x ** e for x, e in zip(xs, cert.target.exponents))
     for scalar, form in cert.summands:
-        g = sum(element(c.terms.items()) * prod(x ** e for x, e in zip(xs, exps))
+        g = sum(sym.element(c.terms.items()) * prod(x ** e for x, e in zip(xs, exps))
                 for exps, c in form.terms.items())
-        expr += element(scalar.terms.items()) * g ** cert.k
-    expr = sympy.expand(expr)
-    if expr == 0 or not gens:
-        return expr == 0
-    _, rem = sympy.reduced(expr, relations, *reversed(gs), *xs, order="lex")
-    return sympy.expand(rem) == 0
+        expr += sym.element(scalar.terms.items()) * g ** cert.k
+    return sym.is_zero(expr, *xs)
 
 
 KERNELS = (
@@ -227,19 +240,22 @@ def test_random_certificates_agree_with_the_oracle(tower):
 
 
 def test_structure_table_matches_normal_form_products():
-    """The integer structure table against the tower's own normal form, on
-    towers whose common denominator L is above 1."""
+    """Products, sums and powers of tower elements against sympy's reduction
+    by the defining polynomials, on towers whose common denominator L is
+    mostly above 1."""
     rng = random.Random(7)
     for tower in (_sqrt_tower(), _two_sqrt_tower(), _nested_tower(),
                   _nested_cubic_tower(), roots_of_unity_tower([5, 6])):
-        ring = tower.integer_structure()
+        sym = SymbolicTower(tower)
+
+        def value(x):
+            return sym.element(x.terms.items())
+
         for _ in range(20):
-            a, b = _element(tower, rng), _element(tower, rng)
-            (va, vb), den = ring.clear([a, b])
-            (vab,), den_ab = ring.clear([a * b])
-            lhs = ring.scale(ring.mul(va, vb), den_ab)
-            rhs = ring.scale(vab, den * den * ring.denominator)
-            assert lhs == rhs
+            a, b, e = _element(tower, rng), _element(tower, rng), rng.randrange(5)
+            assert sym.is_zero(value(a) * value(b) - value(a * b))
+            assert sym.is_zero(value(a) + value(b) - value(a + b))
+            assert sym.is_zero(value(a) ** e - value(a ** e))
     # L is the least common denominator of the structure constants
     assert _sqrt_tower().integer_structure().denominator == 6
     u, w = (_nested_tower().generator_element(g) for g in "uw")
