@@ -184,8 +184,7 @@ class ExtensionTower:
         """Build an element from {exponent tuple: int or Q} terms, possibly
         unreduced."""
         position = self._position
-        if not terms.keys() <= position.keys():
-            terms = self.normalize(terms)
+        terms = self.normalize(terms)
         den = lcm(*[c.denominator for c in terms.values()])
         numerators = [0] * len(self.basis)
         for e, c in terms.items():
@@ -523,6 +522,8 @@ class RingElement:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, RingElement) and other.tower != self.tower:
+            return False
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -34,11 +34,12 @@ the leading term, ascending, as ring elements over the prefix tower.
 from __future__ import annotations
 
 import re
+from math import gcd, lcm
 
 from .algebra import EMPTY_TOWER, ExtensionTower, RingElement, TowerError, terms_text
 from .decomp import Certificate
 from .polynomials import Monomial, Polynomial
-from .rationals import RATIONAL_PATTERN, parse_rational, rational_text
+from .rationals import RATIONAL_PATTERN
 
 FORMAT_VERSION = 1
 _HEADER = f"kwaring certificate v{FORMAT_VERSION}"
@@ -59,14 +60,15 @@ def _parse_ring_element(tower: ExtensionTower, text: str) -> RingElement:
     """Inverse of RingElement.text() for the given tower, canonical form only."""
     if text == "0":
         return tower.zero()
-    names = tower.names
+    names, position = tower.names, tower._position
     terms = {}
     for chunk in text.split(" + "):
         m = _TERM_RE.fullmatch(chunk)
         if not m:
             raise CertificateParseError(f"bad ring element term: {chunk!r}")
-        coeff = parse_rational(m.group(1))
-        if rational_text(coeff) != m.group(1):
+        num, _, den = m.group(1).partition("/")
+        n, d = int(num), int(den or 1)
+        if den and (d == 1 or gcd(n, d) != 1):
             raise CertificateParseError(f"non-canonical coefficient: {chunk!r}")
         factors = _FACTOR_RE.findall(m.group(2))
         if tuple(f[0] for f in factors) != names:
@@ -77,12 +79,16 @@ def _parse_ring_element(tower: ExtensionTower, text: str) -> RingElement:
         for e, deg in zip(exps, tower.degrees):
             if e >= deg:
                 raise CertificateParseError(f"generator power out of range: {chunk!r}")
-        if coeff == 0 or exps in terms:
+        if n == 0 or exps in terms:
             raise CertificateParseError(f"non-canonical ring element: {text!r}")
-        terms[exps] = coeff
+        terms[exps] = n, d
     if list(terms) != sorted(terms):
         raise CertificateParseError(f"ring element terms out of order: {text!r}")
-    return tower.element(terms)
+    common = lcm(*[d for _, d in terms.values()])
+    numerators = [0] * len(tower.basis)
+    for exps, (n, d) in terms.items():
+        numerators[position[exps]] = n * (common // d)
+    return RingElement(tower, numerators, common)
 
 
 class _Lines:

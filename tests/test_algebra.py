@@ -204,3 +204,14 @@ def test_rational_element_hashes_as_its_value(tower):
         assert {q: 1}.get(el) == 1 and {el: 1}.get(q) == 1
     z = (tower.one() + tower.one()) * Q(1, 4)
     assert z == Q(1, 2) and hash(z) == hash(Q(1, 2))
+
+
+def test_elements_of_different_towers_are_unequal():
+    """Rational elements of two towers hash alike but are not equal, so both
+    can share a dict or a set; arithmetic across towers still raises."""
+    z3 = roots_of_unity_tower([3])
+    one_q, one_z3 = EMPTY_TOWER.one(), z3.one()
+    assert one_q != one_z3 and not one_q == one_z3
+    assert len({one_q: 0, one_z3: 1}) == 2 and len({one_q, one_z3}) == 2
+    with pytest.raises(TowerError):
+        one_q + one_z3

@@ -161,6 +161,19 @@ def test_repeated_noncanonical_coefficient_gives_the_same_error():
     assert "non-canonical coefficient" in messages[0]
 
 
+@pytest.mark.parametrize("coeff", ["2/2", "2/4", "3/1", "0/5", "-6/3", "0/1"])
+def test_unreduced_coefficient_rejected(coeff):
+    text = _grid_text().replace(":: (1)*z3^1*z4^0\n", f":: ({coeff})*z3^1*z4^0\n", 1)
+    with pytest.raises(CertificateParseError, match="non-canonical coefficient"):
+        parse(text)
+
+
+def test_zero_coefficient_rejected():
+    text = _grid_text().replace(":: (1)*z3^1*z4^0\n", ":: (0)*z3^1*z4^0\n", 1)
+    with pytest.raises(CertificateParseError, match="non-canonical ring element"):
+        parse(text)
+
+
 def test_corrupting_a_later_copy_of_a_repeated_line():
     text = _grid_text()
     line = "term: 0 0 0 1 :: (1)*z3^0*z4^1"
