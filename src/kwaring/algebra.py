@@ -5,7 +5,8 @@ The coefficient domain for everything exact in this package is a quotient ring
     Q[g1, ..., gr] / (p1(g1), p2(g1, g2), ..., pr(g1, ..., gr))
 
 where each generator ``gi`` carries a monic defining polynomial ``pi`` of
-degree >= 2 whose lower coefficients involve only earlier generators.
+degree >= 2 whose lower coefficients are elements of the preceding subtower
+(the tower of g1, ..., g(i-1)).
 The monomials whose every generator exponent stays strictly below its degree
 form a basis, and an element is stored in one form: the integer numerators of
 its basis coordinates over one positive denominator, in lowest terms.
@@ -92,18 +93,14 @@ class Generator:
 
     name: str
     degree: int
-    # c_0 .. c_{degree-1}, each a raw term dict over the preceding sub-tower
+    # c_0 .. c_{degree-1}, each a RingElement of the preceding sub-tower
     lower_coeffs: tuple
-
-    def key(self):
-        return (self.name, self.degree, self.lower_coeffs)
 
 
 class ExtensionTower:
     """Immutable ordered sequence of monic generators over Q."""
 
-    __slots__ = ("generators", "_degrees", "basis", "_position", "_rewrites", "_integer",
-                 "_key")
+    __slots__ = ("generators", "_degrees", "basis", "_position", "_rewrites", "_integer")
 
     def __init__(self, generators=()):
         object.__setattr__(self, "generators", tuple(generators))
@@ -116,7 +113,6 @@ class ExtensionTower:
         object.__setattr__(self, "_position", {e: i for i, e in enumerate(basis)})
         object.__setattr__(self, "_rewrites", None)
         object.__setattr__(self, "_integer", None)
-        object.__setattr__(self, "_key", tuple(g.key() for g in self.generators))
 
     # -- construction ------------------------------------------------------
 
@@ -134,8 +130,7 @@ class ExtensionTower:
             raise TowerError(f"duplicate generator name {name!r}")
         if self._coerce(coeffs[-1]) != 1:
             raise TowerError("defining polynomial must be monic")
-        lower = tuple(tuple(sorted(self._coerce(c).terms.items())) for c in coeffs[:-1])
-        gen = Generator(name, len(coeffs) - 1, lower)
+        gen = Generator(name, len(coeffs) - 1, tuple(map(self._coerce, coeffs[:-1])))
         return ExtensionTower(self.generators + (gen,))
 
     # -- basic queries -----------------------------------------------------
@@ -152,10 +147,10 @@ class ExtensionTower:
         return len(self.generators)
 
     def __eq__(self, other):
-        return isinstance(other, ExtensionTower) and self._key == other._key
+        return isinstance(other, ExtensionTower) and self.generators == other.generators
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.generators)
 
     def __repr__(self):
         if not self.generators:
@@ -204,17 +199,12 @@ class ExtensionTower:
 
     def _rewrite_tables(self):
         # For generator i: g_i^{d_i} -> sum_j (-c_j) g_i^j, with -c_j given
-        # as raw term dicts over the width-i prefix.
+        # as {exponents: rational} over the width-i prefix.
         tables = self._rewrites
         if tables is None:
-            tables = []
-            for g in self.generators:
-                rw = []
-                for j, frozen in enumerate(g.lower_coeffs):
-                    terms = {e: -c for e, c in frozen}
-                    if terms:
-                        rw.append((j, terms))
-                tables.append(rw)
+            tables = [[(j, {e: -c for e, c in coeff.terms.items()})
+                       for j, coeff in enumerate(g.lower_coeffs) if coeff]
+                      for g in self.generators]
             object.__setattr__(self, "_rewrites", tables)
         return tables
 
@@ -279,7 +269,7 @@ class ExtensionTower:
         roots: list = []
         for g in self.generators:
             # coefficients of the defining polynomial at the chosen roots
-            coeffs = [_evaluate(frozen, roots) for frozen in g.lower_coeffs]
+            coeffs = [c.evaluate(roots) for c in g.lower_coeffs]
             coeffs.append(1.0 + 0j)  # monic leading coefficient
             rts = np.roots(list(reversed(coeffs)))
             rts = sorted(rts, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
@@ -288,18 +278,6 @@ class ExtensionTower:
             else:
                 roots.append(complex(rts[int(rng.integers(len(rts)))]))
         return tuple(roots)
-
-
-def _evaluate(terms, roots) -> complex:
-    """Numeric value of (exponents, rational) terms, generator i mapped to roots[i]."""
-    total = 0j
-    for e, c in terms:
-        t = complex(c.numerator) / complex(c.denominator)
-        for i in range(len(e)):
-            if e[i]:
-                t *= roots[i] ** e[i]
-        total += t
-    return total
 
 
 class IntegerStructure:
@@ -512,14 +490,17 @@ class RingElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers not supported")
-        result = self.tower.one()
+        if n == 0:
+            return self.tower.one()
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, RingElement) and other.tower != self.tower:
@@ -538,35 +519,29 @@ class RingElement:
     # -- output ------------------------------------------------------------
 
     def text(self) -> str:
-        """Canonical text: terms ascending by exponent tuple, every generator
-        printed with an explicit exponent, e.g. ``(1/6)*u^1*z3^0``."""
-        basis, den = self.tower.basis, self.denominator
-        terms = []
-        for i, a in enumerate(self.numerators):
-            if a:
-                g = gcd(a, den)
-                terms.append((basis[i], a // g, den // g))
-        terms.sort()
-        return terms_text(self.tower.names, terms)
+        """Canonical text: terms ascending by exponent tuple, each coefficient
+        in lowest terms with a positive denominator and every generator
+        printed with an explicit exponent, e.g. ``(1/6)*u^1*z3^0``; ``0`` when
+        there are no terms."""
+        names, den = self.tower.names, self.denominator
+        parts = []
+        for exps, a in sorted((e, a) for e, a in zip(self.tower.basis, self.numerators) if a):
+            g = gcd(a, den)
+            piece = f"({a // g})" if g == den else f"({a // g}/{den // g})"
+            parts.append(piece + "".join(f"*{name}^{e}" for name, e in zip(names, exps)))
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"RingElement({self.text()})"
 
     def evaluate(self, roots) -> complex:
-        """Numeric value with each generator mapped to the given root."""
-        return _evaluate(self.terms.items(), roots)
-
-
-def terms_text(names, terms) -> str:
-    """Canonical text of (exponents, numerator, denominator) terms over the
-    generators ``names``: sorted by exponents, each coefficient in lowest
-    terms with a positive denominator, ``0`` when there are none."""
-    if not terms:
-        return "0"
-    parts = []
-    for exps, n, d in terms:
-        piece = f"({n})" if d == 1 else f"({n}/{d})"
-        for name, e in zip(names, exps):
-            piece += f"*{name}^{e}"
-        parts.append(piece)
-    return " + ".join(parts)
+        """Numeric value with generator i mapped to roots[i]."""
+        total = 0j
+        for exps, a in zip(self.tower.basis, self.numerators):
+            if a:
+                t = complex(a / self.denominator)
+                for i, e in enumerate(exps):
+                    if e:
+                        t *= roots[i] ** e
+                total += t
+        return total

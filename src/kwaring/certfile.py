@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from math import gcd, lcm
 
-from .algebra import EMPTY_TOWER, ExtensionTower, RingElement, TowerError, terms_text
+from .algebra import EMPTY_TOWER, ExtensionTower, RingElement, TowerError
 from .decomp import Certificate
 from .polynomials import Monomial, Polynomial
 from .rationals import RATIONAL_PATTERN
@@ -135,12 +135,10 @@ def serialize(cert: Certificate) -> str:
     out.append("target: " + " ".join(str(e) for e in cert.target.exponents))
     gens = cert.tower.generators
     out.append(f"generators: {len(gens)}")
-    for i, gen in enumerate(gens):
-        names = cert.tower.names[:i]
+    for gen in gens:
         out.append(f"generator: {gen.name} {gen.degree}")
-        for coeff_terms in gen.lower_coeffs:
-            out.append("coeff: " + terms_text(names, [(e, c.numerator, c.denominator)
-                                                      for e, c in coeff_terms]))
+        for coeff in gen.lower_coeffs:
+            out.append("coeff: " + coeff.text())
     out.append(f"summands: {len(cert.summands)}")
     for scalar, form in cert.summands:
         out.append("scalar: " + scalar.text())
@@ -163,7 +161,8 @@ def parse(text: str) -> Certificate:
     if src.next() != _HEADER:
         raise CertificateParseError("missing or unsupported header")
     variables = tuple(src.expect("variables: ").split(" "))
-    if not variables or any(not _NAME_RE.fullmatch(v) for v in variables):
+    if (not variables or any(not _NAME_RE.fullmatch(v) for v in variables)
+            or len(set(variables)) != len(variables)):
         raise CertificateParseError("bad variable list")
     nv = len(variables)
     k = _int_field(src.expect("k: "), 1, "k")

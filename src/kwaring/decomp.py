@@ -5,7 +5,8 @@ A certificate records a claimed identity
     M = sum_j  c_j * (G_j)^k
 
 with M a monomial of degree k*d, the G_j homogeneous degree-d forms and the
-c_j scalars, everything over one extension tower.  ``verify`` re-expands the
+c_j scalars, everything over one extension tower; a scalar given as a
+rational is stored as that element of the tower.  ``verify`` re-expands the
 right side exactly, never in floating point: a tower element already is an
 integer vector over one denominator (``[n]`` over Q), so clearing a form or
 a scalar takes an lcm and a scale.  Small expansions run in Python ints.
@@ -53,9 +54,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import EMPTY_TOWER, roots_of_unity_tower, unity_root
+from .algebra import EMPTY_TOWER, RingElement, roots_of_unity_tower, unity_root
 from .polynomials import Monomial, Polynomial, multinomial_table
-from .rationals import Q
+from .rationals import Q, is_rational
 
 
 class CertificateError(ValueError):
@@ -77,16 +78,21 @@ def default_names(nvars: int) -> tuple:
 @dataclass
 class Certificate:
     """A power-sum identity for a monomial.  Immutable by convention;
-    ``verified`` is a cache set by verify().  A summand's scalar is a tower
-    element or a rational (int or ``Q``), which stands for that element."""
+    ``verified`` is a cache set by verify().  A summand's scalar may be given
+    as a rational (int or ``Q``); it is stored as that element of the
+    tower."""
 
     variables: tuple
     k: int
     target: Monomial
     tower: ExtensionTower
-    summands: tuple  # ((scalar: RingElement or rational, form: Polynomial), ...)
+    summands: tuple  # ((scalar: RingElement, form: Polynomial), ...)
     provenance: tuple = ()
     verified: bool = False
+
+    def __post_init__(self):
+        self.summands = tuple((self.tower.scalar(s) if is_rational(s) else s, form)
+                              for s, form in self.summands)
 
     @property
     def summand_count(self) -> int:
@@ -158,10 +164,11 @@ def _cleared(cert: Certificate):
             raise MalformedCertificateError(
                 f"forms must be nonzero homogeneous of degree {d}"
             )
+        if not isinstance(scalar, RingElement) or scalar.tower != cert.tower:
+            raise MalformedCertificateError("scalar is not over the certificate tower")
         support, elements = zip(*sorted(form.terms.items()))
         coeffs, den = ring.clear(elements)
-        s = cert.tower._coerce(scalar)
-        parts.append((support, coeffs, den, s.numerators, s.denominator))
+        parts.append((support, coeffs, den, scalar.numerators, scalar.denominator))
     return ring, parts, k, cert.target.exponents
 
 
@@ -625,7 +632,7 @@ def check_at_point(cert: Certificate, point) -> bool:
     """Exact evaluation cross-check at a rational point (stays in the tower)."""
     total = cert.tower.zero()
     for scalar, form in cert.summands:
-        total = total + cert.tower._coerce(scalar) * (form.eval_exact(point) ** cert.k)
+        total = total + scalar * (form.eval_exact(point) ** cert.k)
     target_val = Q(1)
     for i, e in enumerate(cert.target.exponents):
         if e:
@@ -738,10 +745,15 @@ def monomial_linear_decomp(exponents) -> Certificate:
     others = [i for i in range(nv) if i != i0]
     ms = {i: exps[i] + 1 for i in others}
     tower = roots_of_unity_tower(ms.values())
-    powers = {m: [unity_root(tower, m) ** j for j in range(m)] for m in set(ms.values())}
+    one = tower.one()
+    powers = {}
+    for m in set(ms.values()):
+        w, row = unity_root(tower, m), [one]
+        for _ in range(m - 1):
+            row.append(row[-1] * w)
+        powers[m] = row
     c = factorial(degree) // prod(map(factorial, exps)) * prod(ms.values())
     inv_c = tower.scalar(Q(1, c))
-    one = tower.one()
     units = [tuple(int(v == i) for v in range(nv)) for i in range(nv)]
     summands = []
     for js in iproduct(*[range(ms[i]) for i in others]):

@@ -330,7 +330,7 @@ class Polynomial:
         parts = []
         for e, c in self.sorted_terms():
             coef = c.text()
-            if len(c.terms) > 1:
+            if sum(1 for a in c.numerators if a) > 1:
                 coef = f"({coef})"
             mono = Monomial(e).text()
             parts.append(coef if mono == "1" else f"{coef}*{mono}")

@@ -7,11 +7,9 @@ or ``n/d``, which is the text form the serializers rely on.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-import re
 
 # ASCII digits, no "+", no leading zeros and no "-0"
 RATIONAL_PATTERN = r"(?:0|-?[1-9][0-9]*)(?:/[1-9][0-9]*)?"
-_RAT_RE = re.compile(RATIONAL_PATTERN)
 
 
 def is_rational(x) -> bool:
@@ -25,15 +23,3 @@ def as_rational(x):
     if isinstance(x, int):
         return Q(x)
     raise TypeError(f"not a rational scalar: {x!r}")
-
-
-def rational_text(q) -> str:
-    # reduced "n" or "n/d", denominator positive
-    return str(q)
-
-
-def parse_rational(s: str):
-    s = s.strip()
-    if not _RAT_RE.fullmatch(s):
-        raise ValueError(f"malformed rational {s!r}")
-    return Q(s)

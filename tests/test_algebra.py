@@ -15,6 +15,7 @@ import pytest
 from kwaring.algebra import (
     EMPTY_TOWER,
     ExtensionTower,
+    RingElement,
     TowerError,
     cyclotomic_poly,
     roots_of_unity_tower,
@@ -80,6 +81,22 @@ def test_duplicate_names_rejected():
     t = EMPTY_TOWER.extend("a", (Q(1), Q(0), Q(1)))
     with pytest.raises(TowerError):
         t.extend("a", (Q(2), Q(0), Q(0), Q(1)))
+
+
+def test_towers_compare_by_their_generators():
+    """Towers built separately from the same generators are equal and hash
+    equal; one differing lower coefficient makes them unequal."""
+    def build(c, sign):
+        t = EMPTY_TOWER.extend("u", (c, Q(0), Q(1)))
+        return t.extend("w", (sign * t.generator_element("u"), Q(0), Q(1)))
+
+    a, b = build(Q(-1, 6), -1), build(Q(-1, 6), -1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert build(Q(-1, 7), -1) != a  # u^2 = 1/7 against u^2 = 1/6
+    assert build(Q(-1, 6), 1) != a  # w^2 = -u against w^2 = u
+    # lower coefficients are elements of the preceding subtower
+    assert all(isinstance(c, RingElement) for g in a.generators for c in g.lower_coeffs)
+    assert a.generators[1].lower_coeffs[0].tower == ExtensionTower(a.generators[:1])
 
 
 def test_roots_of_unity_tower_small_orders_are_rational():

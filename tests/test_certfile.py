@@ -5,6 +5,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kwaring.algebra import EMPTY_TOWER, RingElement
 from kwaring.certfile import (
     CertificateParseError,
     parse,
@@ -13,6 +14,7 @@ from kwaring.certfile import (
     write_certificate,
 )
 from kwaring.decomp import (
+    Certificate,
     decompose,
     monomial_linear_decomp,
     product_linear,
@@ -21,8 +23,10 @@ from kwaring.decomp import (
     two_square,
     verify,
 )
-from kwaring.polynomials import Monomial
+from kwaring.polynomials import Monomial, Polynomial
 from kwaring.rank import KInstance
+from kwaring.rationals import Q
+from kwaring.search import SearchProblem, params_from_certificate, residual
 
 
 def sample_certs():
@@ -67,6 +71,24 @@ def test_round_trip_preserves_verification_evidence():
         back = parse(serialize(cert))
         assert back.verified  # flag carried over from construction
         assert verify(back), cert.target
+
+
+def test_rational_scalars_round_trip():
+    """x0*x1 = (1/4)(x0+x1)^2 - (1/4)(x0-x1)^2 over Q with its scalars given
+    as rationals: they are stored as tower elements, so the certificate
+    serializes, parses back to the same text and flattens into search
+    parameters."""
+    x0, x1 = (Polynomial.variable(EMPTY_TOWER, 2, i) for i in range(2))
+    cert = Certificate(("x0", "x1"), 2, Monomial((1, 1)), EMPTY_TOWER,
+                       ((Q(1, 4), x0 + x1), (Q(-1, 4), x0 - x1)))
+    assert verify(cert)
+    assert all(isinstance(s, RingElement) for s, _ in cert.summands)
+    text = serialize(cert)
+    assert "scalar: (1/4)\n" in text and "scalar: (-1/4)\n" in text
+    back = parse(text)
+    assert _same_cert(cert, back) and serialize(back) == text
+    problem = SearchProblem(Monomial((1, 1)), 2, 2)
+    assert residual(problem, params_from_certificate(problem, cert)) < 1e-20
 
 
 def test_file_round_trip(tmp_path):
@@ -168,6 +190,13 @@ def test_unreduced_coefficient_rejected(coeff):
         parse(text)
 
 
+@pytest.mark.parametrize("coeff", ["", "1/0", "1/-2", "0.5", "1 / 2", "+1", "a"])
+def test_junk_coefficient_rejected(coeff):
+    text = _grid_text().replace(":: (1)*z3^1*z4^0\n", f":: ({coeff})*z3^1*z4^0\n", 1)
+    with pytest.raises(CertificateParseError, match="bad ring element term"):
+        parse(text)
+
+
 def test_zero_coefficient_rejected():
     text = _grid_text().replace(":: (1)*z3^1*z4^0\n", ":: (0)*z3^1*z4^0\n", 1)
     with pytest.raises(CertificateParseError, match="non-canonical ring element"):
@@ -220,6 +249,7 @@ def test_provenance_and_flags_survive():
         ("coeff: (-1/6)", "coeff: (-2/12)"),
         ("term: 2 0 0 ::", "term: 02 0 0 ::"),
         ("generator: v 3", "generator: u 3"),  # duplicate generator name
+        ("variables: x0 x1 x2", "variables: x0 x0 x2"),  # duplicate variable name
     ],
 )
 def test_noncanonical_text_rejected(old, new):

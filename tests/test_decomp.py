@@ -214,6 +214,16 @@ def test_verify_malformed():
     )
     with pytest.raises(MalformedCertificateError):
         verify(bad_degree)
+    i = EMPTY_TOWER.extend("i", (Q(1), Q(0), Q(1)))
+    foreign_scalar = Certificate(
+        variables=("x0",),
+        k=1,
+        target=Monomial((1,)),
+        tower=t,
+        summands=((i.one(), Polynomial.variable(t, 1, 0)),),
+    )
+    with pytest.raises(MalformedCertificateError, match="scalar"):
+        verify(foreign_scalar)
 
 
 def test_group_substitute_to_squares():

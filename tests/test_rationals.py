@@ -1,10 +1,10 @@
-"""Rational scalar helpers: coercion, text form, strict parsing."""
+"""Rational scalar helpers: reduction and coercion."""
 
 from fractions import Fraction
 
 import pytest
 
-from kwaring.rationals import Q, as_rational, is_rational, parse_rational, rational_text
+from kwaring.rationals import Q, as_rational, is_rational
 
 
 def test_arithmetic_reduces():
@@ -27,19 +27,3 @@ def test_as_rational():
     with pytest.raises(TypeError):
         as_rational(0.5)
 
-
-def test_text_form():
-    assert rational_text(Q(5)) == "5"
-    assert rational_text(Q(-1, 6)) == "-1/6"
-    assert rational_text(Q(2, 4)) == "1/2"
-
-
-def test_parse_rational_round_trip():
-    for s in ("0", "7", "-7", "1/2", "-3/8", "123456789/987654321"):
-        assert rational_text(parse_rational(s)) == rational_text(Q(Fraction(s)))
-
-
-def test_parse_rational_rejects_junk():
-    for bad in ("", "1/0", "1/-2", "0.5", "1 / 2", "+1", "a"):
-        with pytest.raises(ValueError):
-            parse_rational(bad)

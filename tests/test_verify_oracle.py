@@ -44,15 +44,15 @@ from kwaring.rationals import Q
 
 class SymbolicTower:
     """A tower's generators as sympy symbols g0, g1, ... and its defining
-    polynomials, read from the raw coefficient terms of its generators."""
+    polynomials, read from the coefficient terms of its generators."""
 
     def __init__(self, tower):
         gens = tower.generators
         self.gs = sympy.symbols(f"g0:{len(gens)}")
         self.relations = [
             self.gs[j] ** gen.degree
-            + sum(self.element(frozen) * self.gs[j] ** i
-                  for i, frozen in enumerate(gen.lower_coeffs))
+            + sum(self.element(coeff.terms.items()) * self.gs[j] ** i
+                  for i, coeff in enumerate(gen.lower_coeffs))
             for j, gen in enumerate(gens)
         ]
 
