@@ -11,8 +11,10 @@ The monomials whose every generator exponent stays strictly below its degree
 form a basis, and an element is stored in one form: the integer numerators of
 its basis coordinates over one positive denominator, in lowest terms.
 Products come from the tower's integer multiplication table
-(``IntegerStructure``), built the first time the tower multiplies; building
-and printing elements need only the degrees.  The tower is not required to
+(``IntegerStructure``), built row by row from the generators' defining
+polynomials the first time the tower multiplies.  The table is the tower's
+one reduction: ``normalize`` multiplies through it too.  Building and
+printing elements need only the degrees.  The tower is not required to
 be a field.  Any identity that reduces to zero in the quotient also holds in
 the complex numbers after mapping each generator to one of its roots (such a
 map always exists, choosing roots innermost-first), which is exactly what
@@ -25,15 +27,18 @@ Roots of unity are adjoined through cyclotomic polynomials rather than
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import product
-from math import gcd, lcm
-from operator import add
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from .rationals import Q, as_rational, is_rational
+
+# the names of generators and of certificate variables
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class TowerError(ValueError):
@@ -100,19 +105,16 @@ class Generator:
 class ExtensionTower:
     """Immutable ordered sequence of monic generators over Q."""
 
-    __slots__ = ("generators", "_degrees", "basis", "_position", "_rewrites", "_integer")
+    __slots__ = ("generators", "_degrees", "basis", "_position", "_integer")
 
     def __init__(self, generators=()):
-        object.__setattr__(self, "generators", tuple(generators))
-        degs = tuple(g.degree for g in self.generators)
-        object.__setattr__(self, "_degrees", degs)
+        self.generators = tuple(generators)
+        self._degrees = degs = tuple(g.degree for g in self.generators)
         # basis monomials in mixed-radix order, the first generator fastest,
         # so index 0 is 1
-        basis = tuple(e[::-1] for e in product(*(range(d) for d in reversed(degs))))
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_position", {e: i for i, e in enumerate(basis)})
-        object.__setattr__(self, "_rewrites", None)
-        object.__setattr__(self, "_integer", None)
+        self.basis = tuple(e[::-1] for e in product(*(range(d) for d in reversed(degs))))
+        self._position = {e: i for i, e in enumerate(self.basis)}
+        self._integer = None
 
     # -- construction ------------------------------------------------------
 
@@ -124,6 +126,8 @@ class ExtensionTower:
         elements over this tower.
         """
         coeffs = list(defining_poly)
+        if not NAME_RE.fullmatch(name):
+            raise TowerError(f"bad generator name {name!r}")
         if len(coeffs) < 3:
             raise TowerError("defining polynomial must have degree >= 2")
         if any(g.name == name for g in self.generators):
@@ -178,12 +182,11 @@ class ExtensionTower:
     def element(self, terms: dict) -> "RingElement":
         """Build an element from {exponent tuple: int or Q} terms, possibly
         unreduced."""
-        position = self._position
         terms = self.normalize(terms)
         den = lcm(*[c.denominator for c in terms.values()])
         numerators = [0] * len(self.basis)
         for e, c in terms.items():
-            numerators[position[e]] = c.numerator * (den // c.denominator)
+            numerators[self._position[e]] = c.numerator * (den // c.denominator)
         return RingElement(self, numerators, den)
 
     def _coerce(self, x) -> "RingElement":
@@ -197,66 +200,33 @@ class ExtensionTower:
 
     # -- normal form --------------------------------------------------------
 
-    def _rewrite_tables(self):
-        # For generator i: g_i^{d_i} -> sum_j (-c_j) g_i^j, with -c_j given
-        # as {exponents: rational} over the width-i prefix.
-        tables = self._rewrites
-        if tables is None:
-            tables = [[(j, {e: -c for e, c in coeff.terms.items()})
-                       for j, coeff in enumerate(g.lower_coeffs) if coeff]
-                      for g in self.generators]
-            object.__setattr__(self, "_rewrites", tables)
-        return tables
-
     def normalize(self, raw: dict) -> dict:
         """Reduce every generator exponent below its degree; drop zeros.
 
-        Rewrites at the highest out-of-range generator first; each rewrite
-        strictly decreases the exponent tuple in the lexicographic order
-        that weighs later generators more, so the loop terminates.
+        A monomial whose exponents are all in range is its own normal form.
+        Any other is split into in-range chunks, whose product the tower's
+        table reduces, carrying L per product.
         """
-        degs = self._degrees
-        if not degs:
-            c = raw.get((), 0)
-            return {} if c == 0 else {(): c}
-        out: dict = {}
-        work = []
+        degs, pieces = self._degrees, []
         for e, c in raw.items():
-            if c == 0:
+            if all(a < d for a, d in zip(e, degs)):
+                pieces.append((c, {e: 1}))
                 continue
-            if all(e[i] < degs[i] for i in range(len(degs))):
-                prev = out.get(e)
-                out[e] = c if prev is None else prev + c
-            else:
-                work.append((e, c))
-        tables = self._rewrite_tables()
-        while work:
-            e, c = work.pop()
-            i = max(t for t in range(len(degs)) if e[t] >= degs[t])
-            base = e[i] - degs[i]
-            for j, terms in tables[i]:
-                for pe, pc in terms.items():
-                    ne = list(e)
-                    ne[i] = base + j
-                    for g in range(len(pe)):
-                        ne[g] += pe[g]
-                    ne_t = tuple(ne)
-                    nc = c * pc
-                    if all(ne_t[t] < degs[t] for t in range(i + 1)):
-                        prev = out.get(ne_t)
-                        out[ne_t] = nc if prev is None else prev + nc
-                    else:
-                        work.append((ne_t, nc))
-        return {e: c for e, c in out.items() if c != 0}
+            ring, units = self.integer_structure(), []
+            while any(e):
+                chunk = tuple(min(a, d - 1) for a, d in zip(e, degs))
+                e = tuple(a - b for a, b in zip(e, chunk))
+                units.append([int(f == chunk) for f in self.basis])
+            c *= Q(1, ring.denominator ** (len(units) - 1))
+            pieces.append((c, dict(zip(self.basis, ring.product(units)))))
+        return _combine(pieces)
 
     def integer_structure(self) -> "IntegerStructure":
         """The multiplication table of this tower, built once per tower
         instance, the first time the tower multiplies or is verified."""
-        structure = self._integer
-        if structure is None:
-            structure = IntegerStructure(self)
-            object.__setattr__(self, "_integer", structure)
-        return structure
+        if self._integer is None:
+            self._integer = IntegerStructure(self)
+        return self._integer
 
     # -- numeric embedding ---------------------------------------------------
 
@@ -294,36 +264,29 @@ class IntegerStructure:
     the tower's structure constants (1 for cyclotomic towers), so
     ``mul(x, y)`` returns L*x*y and a product of r factors carries L^(r-1).
     The whole table, L and the table's norms are built when the structure is
-    made, the first time the tower multiplies: a pair whose product is itself
-    a basis monomial is the single entry L, and every other pair takes one
-    normal form.  The empty tower Q is the size-1 case: L = 1 and a vector
-    is ``[n]``.
+    made, the first time the tower multiplies, row by row in basis order from
+    the generators' defining polynomials (``_basis_products``).  The empty
+    tower Q is the size-1 case: L = 1 and a vector is ``[n]``.
     """
 
     def __init__(self, tower: ExtensionTower):
-        basis, position = tower.basis, tower._position
         self.tower = tower
-        self.size = n = len(basis)
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        products = []
-        for i, j in pairs:
-            e = tuple(map(add, basis[i], basis[j]))
-            products.append({e: 1} if e in position else tower.normalize({e: Q(1)}))
-        self.denominator = big = lcm(*(c.denominator for p in products for c in p.values()))
-        rows, rho, cols = {}, 0, [0] * n
-        for (i, j), p in zip(pairs, products):
-            row = rows[i, j] = rows[j, i] = tuple(
-                (position[f], c.numerator * (big // c.denominator)) for f, c in p.items())
-            rho = max(rho, sum(abs(t) for _, t in row))
-            for k, t in row:
-                cols[k] += abs(t) if i == j else 2 * abs(t)
-        self._rows = [rows[i, j] for i in range(n) for j in range(n)]
+        self.size = n = len(tower.basis)
+        products = _basis_products(tower)
+        self.denominator = big = lcm(*(c.denominator for row in products
+                                       for p in row for c in p.values()))
+        self._rows = rows = [tuple((k, c.numerator * (big // c.denominator)) for k, c in p.items())
+                             for row in products for p in row]
         # rho = max over basis pairs (i, j) of sum_k |T_ijk|, so that
         # |mul(x, y)|_1 <= rho * |x|_1 * |y|_1 in the 1-norm
-        self.row_norm = rho
+        self.row_norm = max(sum(abs(t) for _, t in row) for row in rows)
         # c = max over k of sum_ij |T_ijk|: an output coefficient of the table
         # product is at most c times the largest product of two input
         # coefficients
+        cols = [0] * n
+        for row in rows:
+            for k, t in row:
+                cols[k] += abs(t)
         self.column_norm = max(cols)
         self.zero = [0] * n
         self.one = [1] + [0] * (n - 1)
@@ -375,6 +338,59 @@ class IntegerStructure:
 
     def product(self, factors):
         return reduce(self.mul, factors)
+
+
+def _basis_products(tower: ExtensionTower) -> list:
+    """rows[i][j] = the normal form of b_i * b_j as {basis index: rational}.
+
+    Generator g's exponent steps the basis index by s_g, the product of the
+    degrees before g.  Row 0 is the identity.  For i > 0 whose first
+    generator is g: if i != s_g, row i is row i - s_g multiplied through row
+    s_g.  Row s_g shifts b_j by s_g until g's exponent reaches its degree d,
+    and past that uses g^d = -sum_m c_m g^m, whose coefficients c_m index
+    rows below s_g.  Row i takes its columns below i from the rows before it
+    (b_i * b_j = b_j * b_i) and reads no row after it.  Coefficients stay
+    ints while the tower's are integers.
+    """
+    basis, n, degs = tower.basis, len(tower.basis), tower.degrees
+    rows = [[{j: 1} for j in range(n)]]
+    for i in range(1, n):
+        g = next(t for t, a in enumerate(basis[i]) if a)
+        s, d = prod(degs[:g]), degs[g]
+        row = [rows[j][i] for j in range(i)]
+        if i != s:
+            prev, times_g = rows[i - s], rows[s]
+            row += [_combine((c, times_g[l]) for l, c in prev[j].items()) for j in range(i, n)]
+        else:
+            relation = [(m, (e + 1 - d) * s, -a if c.denominator == 1 else Q(-a, c.denominator))
+                        for e, c in enumerate(tower.generators[g].lower_coeffs)
+                        for m, a in enumerate(c.numerators) if a]
+            row += [{j + s: 1} if basis[j][g] < d - 1
+                    else _combine((q, rows[m][j + shift]) for m, shift, q in relation)
+                    for j in range(i, n)]
+        rows.append(row)
+    return rows
+
+
+def _combine(pairs) -> dict:
+    """The sparse vector sum of c * v over (scalar c, sparse vector v)."""
+    out: dict = {}
+    for c, vec in pairs:
+        for k, v in vec.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def binary_power(base, n: int):
+    """base ** n for n >= 1: no multiply by one, no square past the last bit."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 EMPTY_TOWER = ExtensionTower()
@@ -490,17 +506,7 @@ class RingElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers not supported")
-        if n == 0:
-            return self.tower.one()
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return binary_power(self, n) if n else self.tower.one()
 
     def __eq__(self, other):
         if isinstance(other, RingElement) and other.tower != self.tower:

@@ -36,8 +36,8 @@ from __future__ import annotations
 import re
 from math import gcd, lcm
 
-from .algebra import EMPTY_TOWER, ExtensionTower, RingElement, TowerError
-from .decomp import Certificate
+from .algebra import EMPTY_TOWER, NAME_RE, ExtensionTower, RingElement, TowerError
+from .decomp import Certificate, MalformedCertificateError
 from .polynomials import Monomial, Polynomial
 from .rationals import RATIONAL_PATTERN
 
@@ -45,10 +45,9 @@ FORMAT_VERSION = 1
 _HEADER = f"kwaring certificate v{FORMAT_VERSION}"
 
 _TERM_RE = re.compile(
-    r"\((" + RATIONAL_PATTERN + r")\)((?:\*[A-Za-z_][A-Za-z0-9_]*\^(?:0|[1-9][0-9]*))*)"
+    r"\((" + RATIONAL_PATTERN + r")\)((?:\*" + NAME_RE.pattern + r"\^(?:0|[1-9][0-9]*))*)"
 )
-_FACTOR_RE = re.compile(r"\*([A-Za-z_][A-Za-z0-9_]*)\^([0-9]+)")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_FACTOR_RE = re.compile(r"\*(" + NAME_RE.pattern + r")\^([0-9]+)")
 _INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
@@ -160,10 +159,8 @@ def parse(text: str) -> Certificate:
     src = _Lines(text)
     if src.next() != _HEADER:
         raise CertificateParseError("missing or unsupported header")
+    # Certificate checks the variable names, and extend the generator names
     variables = tuple(src.expect("variables: ").split(" "))
-    if (not variables or any(not _NAME_RE.fullmatch(v) for v in variables)
-            or len(set(variables)) != len(variables)):
-        raise CertificateParseError("bad variable list")
     nv = len(variables)
     k = _int_field(src.expect("k: "), 1, "k")
     target_raw = src.expect("target: ").split(" ")
@@ -175,7 +172,7 @@ def parse(text: str) -> Certificate:
     tower = EMPTY_TOWER
     for _ in range(ngens):
         head = src.expect("generator: ").split(" ")
-        if len(head) != 2 or not _NAME_RE.fullmatch(head[0]):
+        if len(head) != 2:
             raise CertificateParseError("bad generator line")
         name = head[0]
         degree = _int_field(head[1], 2, "generator degree")
@@ -229,15 +226,18 @@ def parse(text: str) -> Certificate:
     if src.lines[src.pos:] != [""]:
         raise CertificateParseError("file must end with the line 'end' and one newline")
 
-    return Certificate(
-        variables=variables,
-        k=k,
-        target=target,
-        tower=tower,
-        summands=tuple(summands),
-        provenance=provenance,
-        verified=(verified_raw == "true"),
-    )
+    try:
+        return Certificate(
+            variables=variables,
+            k=k,
+            target=target,
+            tower=tower,
+            summands=tuple(summands),
+            provenance=provenance,
+            verified=(verified_raw == "true"),
+        )
+    except MalformedCertificateError as exc:
+        raise CertificateParseError(str(exc)) from None
 
 
 def write_certificate(cert: Certificate, path) -> None:

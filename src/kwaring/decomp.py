@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import EMPTY_TOWER, RingElement, roots_of_unity_tower, unity_root
+from .algebra import EMPTY_TOWER, NAME_RE, RingElement, roots_of_unity_tower, unity_root
 from .polynomials import Monomial, Polynomial, multinomial_table
 from .rationals import Q, is_rational
 
@@ -77,10 +77,10 @@ def default_names(nvars: int) -> tuple:
 
 @dataclass
 class Certificate:
-    """A power-sum identity for a monomial.  Immutable by convention;
-    ``verified`` is a cache set by verify().  A summand's scalar may be given
-    as a rational (int or ``Q``); it is stored as that element of the
-    tower."""
+    """A power-sum identity for a monomial in distinct variables named as
+    ``algebra.NAME_RE`` allows.  Immutable by convention; ``verified`` is a
+    cache set by verify().  A summand's scalar may be given as a rational
+    (int or ``Q``); it is stored as that element of the tower."""
 
     variables: tuple
     k: int
@@ -91,6 +91,9 @@ class Certificate:
     verified: bool = False
 
     def __post_init__(self):
+        names = self.variables
+        if not all(map(NAME_RE.fullmatch, names)) or len(set(names)) < len(names):
+            raise MalformedCertificateError(f"bad variable names: {names!r}")
         self.summands = tuple((self.tower.scalar(s) if is_rational(s) else s, form)
                               for s, form in self.summands)
 

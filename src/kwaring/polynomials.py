@@ -16,7 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .algebra import ExtensionTower, RingElement, TowerError
+from .algebra import ExtensionTower, RingElement, TowerError, binary_power
 from .rationals import Q, as_rational, is_rational
 
 
@@ -209,17 +209,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
-        if n == 0:
-            return Polynomial.constant(self.tower, self.nvars, 1)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return binary_power(self, n) if n else Polynomial.constant(self.tower, self.nvars, 1)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

@@ -15,12 +15,14 @@ import pytest
 from kwaring.algebra import (
     EMPTY_TOWER,
     ExtensionTower,
+    IntegerStructure,
     RingElement,
     TowerError,
     cyclotomic_poly,
     roots_of_unity_tower,
     unity_root,
 )
+from kwaring.decomp import special_x04x1x2
 from kwaring.rationals import Q
 
 # Ascending coefficient tuples, standard table values.
@@ -81,6 +83,34 @@ def test_duplicate_names_rejected():
     t = EMPTY_TOWER.extend("a", (Q(1), Q(0), Q(1)))
     with pytest.raises(TowerError):
         t.extend("a", (Q(2), Q(0), Q(0), Q(1)))
+
+
+@pytest.mark.parametrize("name", ["u v", "", "1u", "u-1", "u^1"])
+def test_names_a_certificate_file_cannot_carry_are_rejected(name):
+    with pytest.raises(TowerError, match="generator name"):
+        EMPTY_TOWER.extend(name, (Q(-1, 6), Q(0), Q(1)))
+
+
+@pytest.mark.parametrize("tower", [roots_of_unity_tower([5, 7]), special_x04x1x2().tower],
+                         ids=["z5, z7", "special_x04x1x2"])
+def test_table_build_does_no_element_arithmetic(monkeypatch, tower):
+    """The table comes from the defining polynomials' coefficients alone:
+    building it calls neither normalize nor the element product."""
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    mul = counting("RingElement.__mul__", RingElement.__mul__)
+    monkeypatch.setattr(RingElement, "__mul__", mul)
+    monkeypatch.setattr(RingElement, "__rmul__", mul)
+    monkeypatch.setattr(ExtensionTower, "normalize",
+                        counting("ExtensionTower.normalize", ExtensionTower.normalize))
+    ring = IntegerStructure(ExtensionTower(tower.generators))
+    assert ring.size == len(tower.basis) and calls == []
 
 
 def test_towers_compare_by_their_generators():

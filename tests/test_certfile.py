@@ -250,6 +250,8 @@ def test_provenance_and_flags_survive():
         ("term: 2 0 0 ::", "term: 02 0 0 ::"),
         ("generator: v 3", "generator: u 3"),  # duplicate generator name
         ("variables: x0 x1 x2", "variables: x0 x0 x2"),  # duplicate variable name
+        ("variables: x0 x1 x2", "variables: x0 x1 2x"),  # bad variable name
+        ("generator: v 3", "generator: 3v 3"),  # bad generator name
     ],
 )
 def test_noncanonical_text_rejected(old, new):

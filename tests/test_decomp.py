@@ -226,6 +226,14 @@ def test_verify_malformed():
         verify(foreign_scalar)
 
 
+@pytest.mark.parametrize("variables", [("a b",), ("x0", "x0"), ("",), ("0x",)])
+def test_variable_names_a_certificate_file_cannot_carry_are_rejected(variables):
+    nv = len(variables)
+    x0 = Polynomial.variable(EMPTY_TOWER, nv, 0)
+    with pytest.raises(MalformedCertificateError, match="variable names"):
+        Certificate(variables, 1, Monomial((1,) + (0,) * (nv - 1)), EMPTY_TOWER, ((Q(1), x0),))
+
+
 def test_group_substitute_to_squares():
     base = monomial_linear_decomp((1, 2))  # k=3, 3 summands
     cert = group_substitute(

@@ -256,6 +256,11 @@ def test_structure_table_matches_normal_form_products():
             assert sym.is_zero(value(a) * value(b) - value(a * b))
             assert sym.is_zero(value(a) + value(b) - value(a + b))
             assert sym.is_zero(value(a) ** e - value(a ** e))
+            # an out-of-range monomial, reduced by normalize
+            exps = tuple(rng.randrange(3 * d) for d in tower.degrees)
+            terms = {exps: Q(2, 3), (0,) * len(exps): Q(1)}
+            assert sym.is_zero(sym.element(terms.items())
+                               - sym.element(tower.normalize(terms).items()))
     # L is the least common denominator of the structure constants
     assert _sqrt_tower().integer_structure().denominator == 6
     u, w = (_nested_tower().generator_element(g) for g in "uw")
@@ -282,10 +287,11 @@ TABLE_TOWERS = {
 
 @pytest.mark.parametrize("tower", TABLE_TOWERS.values(), ids=TABLE_TOWERS.keys())
 def test_every_table_row_is_the_normal_form_of_its_basis_product(tower):
-    """Over all basis pairs: row i * size + j of the table is L times the
-    normal form of b_i * b_j, and L is the lcm of those normal forms'
-    denominators; the norms are their definitions over the table."""
-    ring = tower.integer_structure()
+    """Over all basis pairs: row i * size + j of the table, divided by L, is
+    b_i * b_j modulo the defining polynomials (sympy's reduction), and L is
+    the lcm of the denominators of those normal forms; the norms are their
+    definitions over the table."""
+    ring, sym = tower.integer_structure(), SymbolicTower(tower)
     # mixed-radix basis, first generator fastest
     basis = [tuple(reversed(e)) for e in product(*(range(d) for d in reversed(tower.degrees)))]
     n, big = len(basis), ring.denominator
@@ -293,12 +299,10 @@ def test_every_table_row_is_the_normal_form_of_its_basis_product(tower):
     dens = []
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
-            nf = tower.normalize({tuple(a + b for a, b in zip(bi, bj)): Q(1)})
-            dens += [c.denominator for c in nf.values()]
-            want = [0] * n
-            for e, c in nf.items():
-                want[basis.index(e)] = c * big
-            assert ring.table[i * n + j].tolist() == want, (i, j)
+            row = [Q(int(t), big) for t in ring.table[i * n + j]]
+            dens += [c.denominator for c in row]
+            product_ij = sym.element([(tuple(a + b for a, b in zip(bi, bj)), Q(1))])
+            assert sym.is_zero(product_ij - sym.element(zip(basis, row))), (i, j)
     assert big == lcm(*dens)
     table = np.abs(ring.table)
     assert ring.row_norm == table.sum(axis=1).max()
