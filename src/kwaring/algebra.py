@@ -13,9 +13,13 @@ its basis coordinates over one positive denominator, in lowest terms.
 Products come from the tower's integer multiplication table
 (``IntegerStructure``), built row by row from the generators' defining
 polynomials the first time the tower multiplies.  The table is the tower's
-one reduction: ``normalize`` multiplies through it too.  Building and
-printing elements need only the degrees.  The tower is not required to
-be a field.  Any identity that reduces to zero in the quotient also holds in
+one reduction: ``normalize`` multiplies through it too.  ``extend`` interns
+towers (the most recently used ``TOWER_CACHE_SIZE`` are kept), so every
+element over an equal chain of generators shares one tower object, one
+table and one ``TermVocabulary``, the canonical text of each basis
+monomial's factors that printing and parsing read.  Building and printing
+elements need no table.  The tower is not required to be a field.  Any
+identity that reduces to zero in the quotient also holds in
 the complex numbers after mapping each generator to one of its roots (such a
 map always exists, choosing roots innermost-first), which is exactly what
 certificate verification needs.
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,19 +107,31 @@ class Generator:
     lower_coeffs: tuple
 
 
+class TermVocabulary(NamedTuple):
+    """The canonical text of a tower's basis monomials, as ring element text
+    writes them after a term's coefficient."""
+
+    # (basis index, suffix such as ``*u^1*v^0``) ascending by exponent tuple
+    order: tuple
+    # suffix -> (basis index, rank in ``order``)
+    lookup: dict
+
+
 class ExtensionTower:
     """Immutable ordered sequence of monic generators over Q."""
 
-    __slots__ = ("generators", "_degrees", "basis", "_position", "_integer")
+    __slots__ = ("generators", "_hash", "_degrees", "basis", "_position", "_integer",
+                 "_vocabulary")
 
     def __init__(self, generators=()):
         self.generators = tuple(generators)
+        self._hash = hash(self.generators)
         self._degrees = degs = tuple(g.degree for g in self.generators)
         # basis monomials in mixed-radix order, the first generator fastest,
         # so index 0 is 1
         self.basis = tuple(e[::-1] for e in product(*(range(d) for d in reversed(degs))))
         self._position = {e: i for i, e in enumerate(self.basis)}
-        self._integer = None
+        self._integer = self._vocabulary = None
 
     # -- construction ------------------------------------------------------
 
@@ -123,7 +140,9 @@ class ExtensionTower:
 
         ``defining_poly`` lists ascending coefficients c_0 .. c_d with
         c_d == 1 and d >= 2.  Lower coefficients may be rationals or ring
-        elements over this tower.
+        elements over this tower.  An equal chain of generators returns the
+        same tower object while it stays among the ``TOWER_CACHE_SIZE``
+        most recently used.
         """
         coeffs = list(defining_poly)
         if not NAME_RE.fullmatch(name):
@@ -135,7 +154,7 @@ class ExtensionTower:
         if self._coerce(coeffs[-1]) != 1:
             raise TowerError("defining polynomial must be monic")
         gen = Generator(name, len(coeffs) - 1, tuple(map(self._coerce, coeffs[:-1])))
-        return ExtensionTower(self.generators + (gen,))
+        return _interned(self, gen)
 
     # -- basic queries -----------------------------------------------------
 
@@ -151,10 +170,11 @@ class ExtensionTower:
         return len(self.generators)
 
     def __eq__(self, other):
-        return isinstance(other, ExtensionTower) and self.generators == other.generators
+        return self is other or (isinstance(other, ExtensionTower)
+                                 and self.generators == other.generators)
 
     def __hash__(self):
-        return hash(self.generators)
+        return self._hash
 
     def __repr__(self):
         if not self.generators:
@@ -165,7 +185,8 @@ class ExtensionTower:
     # -- element constructors ----------------------------------------------
 
     def scalar(self, q) -> "RingElement":
-        q = as_rational(q)
+        if not is_rational(q):
+            raise TypeError(f"not a rational scalar: {q!r}")
         return RingElement(self, (q.numerator,) + (0,) * (len(self.basis) - 1), q.denominator)
 
     def zero(self) -> "RingElement":
@@ -222,11 +243,24 @@ class ExtensionTower:
         return _combine(pieces)
 
     def integer_structure(self) -> "IntegerStructure":
-        """The multiplication table of this tower, built once per tower
-        instance, the first time the tower multiplies or is verified."""
+        """The multiplication table of this tower, built the first time the
+        tower multiplies or is verified.  Towers are interned, so that is
+        once per distinct tower while it stays cached."""
         if self._integer is None:
             self._integer = IntegerStructure(self)
         return self._integer
+
+    def vocabulary(self) -> TermVocabulary:
+        """The canonical text of every basis monomial, built the first time
+        an element of this tower is printed or parsed."""
+        if self._vocabulary is None:
+            order = sorted(range(len(self.basis)), key=self.basis.__getitem__)
+            suffixes = ["".join(f"*{name}^{e}" for name, e in zip(self.names, self.basis[i]))
+                        for i in order]
+            self._vocabulary = TermVocabulary(
+                tuple(zip(order, suffixes)),
+                {suffix: (i, rank) for rank, (i, suffix) in enumerate(zip(order, suffixes))})
+        return self._vocabulary
 
     # -- numeric embedding ---------------------------------------------------
 
@@ -265,7 +299,8 @@ class IntegerStructure:
     ``mul(x, y)`` returns L*x*y and a product of r factors carries L^(r-1).
     The whole table, L and the table's norms are built when the structure is
     made, the first time the tower multiplies, row by row in basis order from
-    the generators' defining polynomials (``_basis_products``).  The empty
+    the generators' defining polynomials (``_basis_products``); towers are
+    interned, so that is once per distinct tower.  The empty
     tower Q is the size-1 case: L = 1 and a vector is ``[n]``.
     """
 
@@ -395,6 +430,15 @@ def binary_power(base, n: int):
 
 EMPTY_TOWER = ExtensionTower()
 
+# Distinct towers that ``extend`` keeps interned, the least recently used
+# dropped first; a certificate file's towers are its generator prefixes.
+TOWER_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=TOWER_CACHE_SIZE)
+def _interned(base: ExtensionTower, gen: Generator) -> ExtensionTower:
+    return ExtensionTower(base.generators + (gen,))
+
 
 def roots_of_unity_tower(ms) -> ExtensionTower:
     """Tower holding a primitive m-th root of unity for each m >= 3 in ms."""
@@ -518,8 +562,10 @@ class RingElement:
 
     def __hash__(self):
         # a rational element equals its rational value, so it hashes as one
+        # (an int hashes as the equal Fraction does)
         if self.is_rational():
-            return hash(self.rational_value())
+            a, den = self.numerators[0], self.denominator
+            return hash(a) if den == 1 else hash(Q(a, den))
         return hash((self.numerators, self.denominator))
 
     # -- output ------------------------------------------------------------
@@ -529,12 +575,14 @@ class RingElement:
         in lowest terms with a positive denominator and every generator
         printed with an explicit exponent, e.g. ``(1/6)*u^1*z3^0``; ``0`` when
         there are no terms."""
-        names, den = self.tower.names, self.denominator
+        numerators, den = self.numerators, self.denominator
         parts = []
-        for exps, a in sorted((e, a) for e, a in zip(self.tower.basis, self.numerators) if a):
-            g = gcd(a, den)
-            piece = f"({a // g})" if g == den else f"({a // g}/{den // g})"
-            parts.append(piece + "".join(f"*{name}^{e}" for name, e in zip(names, exps)))
+        for i, suffix in self.tower.vocabulary().order:
+            a = numerators[i]
+            if a:
+                g = gcd(a, den)
+                parts.append(f"({a // g}){suffix}" if g == den
+                             else f"({a // g}/{den // g}){suffix}")
         return " + ".join(parts) or "0"
 
     def __repr__(self):

@@ -34,21 +34,24 @@ the leading term, ascending, as ring elements over the prefix tower.
 from __future__ import annotations
 
 import re
+from itertools import filterfalse
 from math import gcd, lcm
 
 from .algebra import EMPTY_TOWER, NAME_RE, ExtensionTower, RingElement, TowerError
 from .decomp import Certificate, MalformedCertificateError
-from .polynomials import Monomial, Polynomial
+from .polynomials import Monomial, Polynomial, _order_key
 from .rationals import RATIONAL_PATTERN
 
 FORMAT_VERSION = 1
 _HEADER = f"kwaring certificate v{FORMAT_VERSION}"
 
+_COEFF_RE = re.compile(r"\((" + RATIONAL_PATTERN + r")\)")
 _TERM_RE = re.compile(
-    r"\((" + RATIONAL_PATTERN + r")\)((?:\*" + NAME_RE.pattern + r"\^(?:0|[1-9][0-9]*))*)"
+    _COEFF_RE.pattern + r"((?:\*" + NAME_RE.pattern + r"\^(?:0|[1-9][0-9]*))*)"
 )
-_FACTOR_RE = re.compile(r"\*(" + NAME_RE.pattern + r")\^([0-9]+)")
-_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
+_FACTOR_RE = re.compile(r"\*(" + NAME_RE.pattern + r")\^[0-9]+")
+# every integer field is a count or an exponent: no sign, no leading zeros
+_INT_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 class CertificateParseError(ValueError):
@@ -56,57 +59,58 @@ class CertificateParseError(ValueError):
 
 
 def _parse_ring_element(tower: ExtensionTower, text: str) -> RingElement:
-    """Inverse of RingElement.text() for the given tower, canonical form only."""
+    """Inverse of RingElement.text() for the given tower, canonical form only.
+
+    Each term's text after its coefficient must be one of the tower's
+    canonical suffixes (``ExtensionTower.vocabulary``), ranked in ascending
+    order; ``_fault`` names what is wrong with any other text."""
     if text == "0":
         return tower.zero()
-    names, position = tower.names, tower._position
-    terms = {}
+    lookup = tower.vocabulary().lookup
+    terms = []
+    last = -1
     for chunk in text.split(" + "):
-        m = _TERM_RE.fullmatch(chunk)
-        if not m:
-            raise CertificateParseError(f"bad ring element term: {chunk!r}")
+        m = _COEFF_RE.match(chunk)
+        hit = m and lookup.get(chunk[m.end():])
+        if not hit:
+            raise _fault(tower, text)
+        index, rank = hit
         num, _, den = m.group(1).partition("/")
         n, d = int(num), int(den or 1)
-        if den and (d == 1 or gcd(n, d) != 1):
-            raise CertificateParseError(f"non-canonical coefficient: {chunk!r}")
-        factors = _FACTOR_RE.findall(m.group(2))
-        if tuple(f[0] for f in factors) != names:
-            raise CertificateParseError(
-                f"term generators do not match tower {names}: {chunk!r}"
-            )
-        exps = tuple(int(f[1]) for f in factors)
-        for e, deg in zip(exps, tower.degrees):
-            if e >= deg:
-                raise CertificateParseError(f"generator power out of range: {chunk!r}")
-        if n == 0 or exps in terms:
-            raise CertificateParseError(f"non-canonical ring element: {text!r}")
-        terms[exps] = n, d
-    if list(terms) != sorted(terms):
-        raise CertificateParseError(f"ring element terms out of order: {text!r}")
-    common = lcm(*[d for _, d in terms.values()])
+        if rank <= last or n == 0 or (den and (d == 1 or gcd(n, d) != 1)):
+            raise _fault(tower, text)
+        last = rank
+        terms.append((index, n, d))
+    common = lcm(*[d for _, _, d in terms])
     numerators = [0] * len(tower.basis)
-    for exps, (n, d) in terms.items():
-        numerators[position[exps]] = n * (common // d)
+    for index, n, d in terms:
+        numerators[index] = n * (common // d)
     return RingElement(tower, numerators, common)
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
-        self.pos = 0
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise CertificateParseError("unexpected end of file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect(self, prefix: str) -> str:
-        line = self.next()
-        if not line.startswith(prefix):
-            raise CertificateParseError(f"expected {prefix!r}, got {line!r}")
-        return line[len(prefix):]
+def _fault(tower: ExtensionTower, text: str) -> CertificateParseError:
+    """The parse error of a ring element text that is not canonical: that of
+    its first bad term, else that its terms are out of order."""
+    lookup, seen = tower.vocabulary().lookup, set()
+    for chunk in text.split(" + "):
+        m = _TERM_RE.fullmatch(chunk)
+        if not m:
+            return CertificateParseError(f"bad ring element term: {chunk!r}")
+        num, _, den = m.group(1).partition("/")
+        if den and (int(den) == 1 or gcd(int(num), int(den)) != 1):
+            return CertificateParseError(f"non-canonical coefficient: {chunk!r}")
+        hit = lookup.get(m.group(2))
+        if hit is None:
+            # the suffix is well formed, so its names or a power are wrong
+            if tuple(_FACTOR_RE.findall(m.group(2))) != tower.names:
+                return CertificateParseError(
+                    f"term generators do not match tower {tower.names}: {chunk!r}"
+                )
+            return CertificateParseError(f"generator power out of range: {chunk!r}")
+        if num == "0" or hit in seen:
+            return CertificateParseError(f"non-canonical ring element: {text!r}")
+        seen.add(hit)
+    return CertificateParseError(f"ring element terms out of order: {text!r}")
 
 
 def _int_field(raw: str, minimum: int, label: str) -> int:
@@ -115,16 +119,28 @@ def _int_field(raw: str, minimum: int, label: str) -> int:
     return int(raw)
 
 
-def _parse_term(tower: ExtensionTower, nv: int, line: str) -> tuple:
-    """A ``term:`` line's (exponent tuple, coefficient)."""
-    if " :: " not in line:
+def _exponents(fields) -> tuple:
+    bad = next(filterfalse(_INT_RE.fullmatch, fields), None)
+    if bad is not None:
+        raise CertificateParseError(f"bad exponent: {bad!r}")
+    return tuple(map(int, fields))
+
+
+def _parse_term(line: str, nv: int, element) -> tuple:
+    """A ``term:`` line's order key in its form (``Polynomial.sorted_terms``
+    lists terms by descending key) and its nonzero coefficient, read by
+    ``element``."""
+    exp_part, sep, coeff_part = line.partition(" :: ")
+    if not sep:
         raise CertificateParseError(f"bad term line: {line!r}")
-    exp_part, coeff_part = line.split(" :: ", 1)
     exp_raw = exp_part.split(" ")
     if len(exp_raw) != nv:
         raise CertificateParseError("term arity differs from variable list")
-    exps = tuple(_int_field(e, 0, "exponent") for e in exp_raw)
-    return exps, _parse_ring_element(tower, coeff_part)
+    exps = _exponents(exp_raw)
+    coeff = element(coeff_part)
+    if coeff.is_zero():
+        raise CertificateParseError("non-canonical form term list")
+    return _order_key(exps), coeff
 
 
 def serialize(cert: Certificate) -> str:
@@ -156,74 +172,92 @@ def serialize(cert: Certificate) -> str:
 
 
 def parse(text: str) -> Certificate:
-    src = _Lines(text)
-    if src.next() != _HEADER:
+    lines = text.split("\n")
+    pos = 0
+
+    def field(prefix: str) -> str:
+        """The next line, which must start with ``prefix``, without it."""
+        nonlocal pos
+        if pos >= len(lines):
+            raise CertificateParseError("unexpected end of file")
+        line = lines[pos]
+        pos += 1
+        if not line.startswith(prefix):
+            raise CertificateParseError(f"expected {prefix!r}, got {line!r}")
+        return line[len(prefix):]
+
+    if field("") != _HEADER:
         raise CertificateParseError("missing or unsupported header")
     # Certificate checks the variable names, and extend the generator names
-    variables = tuple(src.expect("variables: ").split(" "))
+    variables = tuple(field("variables: ").split(" "))
     nv = len(variables)
-    k = _int_field(src.expect("k: "), 1, "k")
-    target_raw = src.expect("target: ").split(" ")
+    k = _int_field(field("k: "), 1, "k")
+    target_raw = field("target: ").split(" ")
     if len(target_raw) != nv:
         raise CertificateParseError("target arity differs from variable list")
-    target = Monomial(tuple(_int_field(e, 0, "exponent") for e in target_raw))
+    target = Monomial(_exponents(target_raw))
 
-    ngens = _int_field(src.expect("generators: "), 0, "generator count")
+    ngens = _int_field(field("generators: "), 0, "generator count")
     tower = EMPTY_TOWER
     for _ in range(ngens):
-        head = src.expect("generator: ").split(" ")
+        head = field("generator: ").split(" ")
         if len(head) != 2:
             raise CertificateParseError("bad generator line")
         name = head[0]
         degree = _int_field(head[1], 2, "generator degree")
-        lower = [
-            _parse_ring_element(tower, src.expect("coeff: ")) for _ in range(degree)
-        ]
+        lower = [_parse_ring_element(tower, field("coeff: ")) for _ in range(degree)]
         defining = tuple(lower) + (tower.one(),)
         try:
             tower = tower.extend(name, defining)
         except TowerError as exc:
             raise CertificateParseError(f"bad generator {name!r}: {exc}") from None
 
-    nsummands = _int_field(src.expect("summands: "), 0, "summand count")
-    # Scalar and term lines repeat (a grid form's coefficients are a few root
-    # powers), so each distinct line is parsed once; the elements are
-    # immutable and shared.  The checks below that involve the whole form run
-    # on every use.
-    scalars: dict = {}
+    nsummands = _int_field(field("summands: "), 0, "summand count")
+    # Scalars, coefficients and whole term lines repeat (a grid form's
+    # coefficients are a few root powers), so each distinct element text and
+    # term line is parsed once; the elements are immutable and shared.  The
+    # checks below that involve the whole form run on every use.
+    elements: dict = {}
     term_lines: dict = {}
+
+    def element(text: str) -> RingElement:
+        el = elements.get(text)
+        if el is None:
+            el = elements[text] = _parse_ring_element(tower, text)
+        return el
+
     summands = []
     for _ in range(nsummands):
-        line = src.expect("scalar: ")
-        scalar = scalars.get(line)
-        if scalar is None:
-            scalar = scalars[line] = _parse_ring_element(tower, line)
-        nterms = _int_field(src.expect("terms: "), 1, "term count")
+        scalar = element(field("scalar: "))
+        nterms = _int_field(field("terms: "), 1, "term count")
         terms = {}
-        order = []
-        for _ in range(nterms):
-            line = src.expect("term: ")
+        keys = []
+        for line in lines[pos:pos + nterms]:
+            if not line.startswith("term: "):
+                raise CertificateParseError(f"expected 'term: ', got {line!r}")
             term = term_lines.get(line)
             if term is None:
-                term = term_lines[line] = _parse_term(tower, nv, line)
-            exps, coeff = term
-            if coeff.is_zero() or exps in terms:
+                term = term_lines[line] = _parse_term(line[6:], nv, element)
+            key, coeff = term
+            if key[1] in terms:
                 raise CertificateParseError("non-canonical form term list")
-            terms[exps] = coeff
-            order.append(exps)
-        form = Polynomial(tower, nv, terms)
-        if order != [e for e, _ in form.sorted_terms()]:
+            terms[key[1]] = coeff
+            keys.append(key)
+        pos += nterms
+        if pos > len(lines):
+            raise CertificateParseError("unexpected end of file")
+        if keys != sorted(keys, reverse=True):
             raise CertificateParseError("form terms out of canonical order")
-        summands.append((scalar, form))
+        summands.append((scalar, Polynomial(tower, nv, terms)))
 
-    verified_raw = src.expect("verified: ")
+    verified_raw = field("verified: ")
     if verified_raw not in ("true", "false"):
         raise CertificateParseError(f"bad verified flag: {verified_raw!r}")
-    nnotes = _int_field(src.expect("provenance: "), 0, "provenance count")
-    provenance = tuple(src.expect("note: ") for _ in range(nnotes))
-    if src.next() != "end":
+    nnotes = _int_field(field("provenance: "), 0, "provenance count")
+    provenance = tuple(field("note: ") for _ in range(nnotes))
+    if field("") != "end":
         raise CertificateParseError("missing end marker")
-    if src.lines[src.pos:] != [""]:
+    if lines[pos:] != [""]:
         raise CertificateParseError("file must end with the line 'end' and one newline")
 
     try:

@@ -77,10 +77,11 @@ def default_names(nvars: int) -> tuple:
 
 @dataclass
 class Certificate:
-    """A power-sum identity for a monomial in distinct variables named as
-    ``algebra.NAME_RE`` allows.  Immutable by convention; ``verified`` is a
-    cache set by verify().  A summand's scalar may be given as a rational
-    (int or ``Q``); it is stored as that element of the tower."""
+    """A power-sum identity for a monomial in one or more distinct variables
+    named as ``algebra.NAME_RE`` allows.  Immutable by convention;
+    ``verified`` is a cache set by verify().  A summand's scalar may be given
+    as a rational (int or ``Q``); it is stored as that element of the
+    tower."""
 
     variables: tuple
     k: int
@@ -92,7 +93,8 @@ class Certificate:
 
     def __post_init__(self):
         names = self.variables
-        if not all(map(NAME_RE.fullmatch, names)) or len(set(names)) < len(names):
+        if (not names or not all(map(NAME_RE.fullmatch, names))
+                or len(set(names)) < len(names)):
             raise MalformedCertificateError(f"bad variable names: {names!r}")
         self.summands = tuple((self.tower.scalar(s) if is_rational(s) else s, form)
                               for s, form in self.summands)

@@ -55,6 +55,8 @@ class KInstance:
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 2:
             raise ValueError("k must be an integer >= 2")
+        if not self.monomial.nvars:
+            raise ValueError("empty monomial")
         if self.monomial.degree % self.k != 0:
             raise ValueError(
                 f"k={self.k} does not divide the degree {self.monomial.degree}"

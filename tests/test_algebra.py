@@ -14,10 +14,12 @@ import pytest
 
 from kwaring.algebra import (
     EMPTY_TOWER,
+    TOWER_CACHE_SIZE,
     ExtensionTower,
     IntegerStructure,
     RingElement,
     TowerError,
+    _interned,
     cyclotomic_poly,
     roots_of_unity_tower,
     unity_root,
@@ -120,13 +122,43 @@ def test_towers_compare_by_their_generators():
         t = EMPTY_TOWER.extend("u", (c, Q(0), Q(1)))
         return t.extend("w", (sign * t.generator_element("u"), Q(0), Q(1)))
 
-    a, b = build(Q(-1, 6), -1), build(Q(-1, 6), -1)
+    a = build(Q(-1, 6), -1)
+    b = ExtensionTower(a.generators)  # built directly, so not interned
     assert a is not b and a == b and hash(a) == hash(b)
     assert build(Q(-1, 7), -1) != a  # u^2 = 1/7 against u^2 = 1/6
     assert build(Q(-1, 6), 1) != a  # w^2 = -u against w^2 = u
     # lower coefficients are elements of the preceding subtower
     assert all(isinstance(c, RingElement) for g in a.generators for c in g.lower_coeffs)
     assert a.generators[1].lower_coeffs[0].tower == ExtensionTower(a.generators[:1])
+
+
+def test_equal_extend_chains_return_one_tower():
+    """extend interns towers: an equal chain of generators returns the same
+    object, with one table, and a different lower coefficient a different
+    one."""
+    def build(c):
+        t = EMPTY_TOWER.extend("u", (c, Q(0), Q(1)))
+        return t.extend("w", (-t.generator_element("u"), Q(0), Q(1)))
+
+    a = build(Q(-1, 6))
+    assert build(Q(-1, 6)) is a
+    assert build(Q(-1, 6)).integer_structure() is a.integer_structure()
+    assert build(Q(-1, 7)) is not a and build(Q(-1, 7)) != a
+    assert roots_of_unity_tower([3, 4]) is roots_of_unity_tower([4, 3, 2])
+
+
+def test_interned_towers_are_bounded():
+    """Past TOWER_CACHE_SIZE distinct towers the least recently used is
+    dropped: extending again builds an equal tower, not the same object."""
+    def build(n):
+        return EMPTY_TOWER.extend("u", (Q(-n, 7), Q(0), Q(1)))
+
+    first = build(1)
+    for n in range(2, TOWER_CACHE_SIZE + 2):
+        build(n)
+    assert _interned.cache_info().currsize <= TOWER_CACHE_SIZE
+    again = build(1)
+    assert again is not first and again == first
 
 
 def test_roots_of_unity_tower_small_orders_are_rational():

@@ -5,9 +5,16 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kwaring.algebra import EMPTY_TOWER, RingElement
+from kwaring.algebra import (
+    EMPTY_TOWER,
+    IntegerStructure,
+    RingElement,
+    _interned,
+    roots_of_unity_tower,
+)
 from kwaring.certfile import (
     CertificateParseError,
+    _parse_ring_element,
     parse,
     read_certificate,
     serialize,
@@ -55,15 +62,26 @@ def _same_cert(a, b) -> bool:
     )
 
 
-def test_round_trip_identity_both_directions():
-    for cert in sample_certs():
+def test_round_trip_identity_both_directions(monkeypatch):
+    certs = sample_certs()
+    # Reading and printing elements needs no multiplication table.  The
+    # certificates' towers have built theirs, so drop the interned towers:
+    # parse then makes fresh ones, and none of them may build a table.
+    _interned.cache_clear()
+    built = []
+    build = IntegerStructure.__init__
+
+    def counting(self, tower):
+        built.append(tower)
+        build(self, tower)
+
+    monkeypatch.setattr(IntegerStructure, "__init__", counting)
+    for cert in certs:
         text = serialize(cert)
         back = parse(text)
         assert _same_cert(cert, back), cert.target
         assert serialize(back) == text, cert.target
-        # reading and printing elements needs no multiplication table (the
-        # shared empty tower Q may have built its own already)
-        assert not back.tower.generators or back.tower._integer is None, cert.target
+    assert built == []
 
 
 def test_round_trip_preserves_verification_evidence():
@@ -292,3 +310,143 @@ def test_every_accepted_text_is_canonical(which, edits):
     except CertificateParseError:
         return
     assert serialize(cert) == text
+
+
+# The towers of the verify oracle: Q, a square root, a nested square root, a
+# cyclotomic tower and the three-cube tower.
+def _sqrt_tower():
+    return EMPTY_TOWER.extend("u", (Q(-1, 6), Q(0), Q(1)))
+
+
+def _nested_tower():
+    t = _sqrt_tower()
+    return t.extend("w", (-t.generator_element("u"), Q(0), Q(1)))  # w^2 = u
+
+
+ORACLE_TOWERS = {
+    "Q": EMPTY_TOWER,
+    "u^2 = 1/6": _sqrt_tower(),
+    "u^2 = 1/6, w^2 = u": _nested_tower(),
+    "cyclotomic 3, 4, 5": roots_of_unity_tower([3, 4, 5]),
+    "special_x04x1x2": special_x04x1x2().tower,
+}
+
+
+@st.composite
+def tower_elements(draw):
+    """(tower name, a random element of that tower, nonzero when drawn so)."""
+    name = draw(st.sampled_from(sorted(ORACLE_TOWERS)))
+    tower = ORACLE_TOWERS[name]
+    terms = draw(st.dictionaries(
+        st.integers(0, len(tower.basis) - 1),
+        st.fractions(min_value=-50, max_value=50, max_denominator=40),
+        max_size=4,
+    ))
+    return name, tower.element({tower.basis[i]: c for i, c in terms.items()})
+
+
+def _reference_text(el) -> str:
+    """Canonical text from the element's {exponents: Fraction} terms: terms
+    ascending by exponent tuple, every generator with its exponent."""
+    return " + ".join(
+        f"({c})" + "".join(f"*{name}^{e}" for name, e in zip(el.tower.names, exps))
+        for exps, c in sorted(el.terms.items())
+    ) or "0"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tower_elements())
+def test_ring_element_text_parses_back(drawn):
+    _, el = drawn
+    assert el.text() == _reference_text(el)
+    back = _parse_ring_element(el.tower, el.text())
+    assert back == el and back.tower is el.tower
+    assert back.numerators == el.numerators and back.denominator == el.denominator
+
+
+def test_text_order_is_by_exponent_tuple_not_basis_index():
+    """The basis runs first generator fastest; text runs by exponent tuple."""
+    tower = roots_of_unity_tower([3, 4])
+    el = tower.generator_element("z3") + tower.generator_element("z4")
+    assert tower.basis[1:3] == ((1, 0), (0, 1))
+    assert el.text() == "(1)*z3^0*z4^1 + (1)*z3^1*z4^0"
+    with pytest.raises(CertificateParseError, match="out of order"):
+        _parse_ring_element(tower, "(1)*z3^1*z4^0 + (1)*z3^0*z4^1")
+
+
+def _element_cert(el):
+    """x0*x1 as a (false) certificate whose scalars and coefficients are el,
+    so that el's text appears in a whole file."""
+    tower, nonzero = el.tower, el if el else el.tower.one()
+    x0, x1 = (Polynomial.variable(tower, 2, i) for i in range(2))
+    return Certificate(("x0", "x1"), 2, Monomial((1, 1)), tower,
+                       ((el, x0 * nonzero + x1), (tower.one(), x0 - x1 * nonzero)))
+
+
+_ALPHABET = "0123456789-+/()*^: \nuvwz_"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn=tower_elements(), edits=st.lists(
+    st.tuples(st.integers(0, 10**6), st.sampled_from(("insert", "delete", "replace")),
+              st.sampled_from(_ALPHABET)),
+    min_size=1, max_size=20))
+def test_single_character_mutations_are_rejected_or_canonical(drawn, edits):
+    """One inserted, deleted or replaced character in a canonical file over
+    an oracle tower either fails to parse or gives a file that serializes
+    back to the same bytes."""
+    text = serialize(_element_cert(drawn[1]))
+    for pos, op, ch in edits:
+        pos %= len(text)
+        mutated = text[:pos] + ("" if op == "delete" else ch) + text[pos + (op != "insert"):]
+        try:
+            cert = parse(mutated)
+        except CertificateParseError:
+            continue
+        assert serialize(cert) == mutated
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TOWERS))
+def test_every_single_character_mutation_of_a_coefficient_line(name):
+    """Every replacement and deletion of one character in the scalar and
+    term lines of a small canonical file over each oracle tower."""
+    tower = ORACLE_TOWERS[name]
+    el = tower.element({tower.basis[-1]: Q(-3, 2), tower.basis[0]: Q(5)})
+    text = serialize(_element_cert(el))
+    start, stop = text.index("scalar: "), text.index("verified: ")
+    for pos in range(start, stop):
+        for mutated in [text[:pos] + text[pos + 1:]] + [
+                text[:pos] + ch + text[pos + 1:] for ch in _ALPHABET if ch != text[pos]]:
+            try:
+                cert = parse(mutated)
+            except CertificateParseError:
+                continue
+            assert serialize(cert) == mutated, (pos, mutated[start:stop])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(2/4)*u^1", "non-canonical coefficient: '(2/4)*u^1'"),
+        ("1*u^1", "bad ring element term: '1*u^1'"),
+        ("(1)*u^0 + (0)*u^1", "non-canonical ring element: '(1)*u^0 + (0)*u^1'"),
+        ("(1)*u^1 + (2)*u^1", "non-canonical ring element: '(1)*u^1 + (2)*u^1'"),
+        ("(1)*u^1 + (1)*u^0", "ring element terms out of order: '(1)*u^1 + (1)*u^0'"),
+        ("(1)*u^2", "generator power out of range: '(1)*u^2'"),
+        ("(1)*w^1", "term generators do not match tower ('u',): '(1)*w^1'"),
+        ("(1)", "term generators do not match tower ('u',): '(1)'"),
+        # a bad term after an out-of-order one is reported as itself
+        ("(1)*u^1 + (1)*u^0 + (1)*u^2", "generator power out of range: '(1)*u^2'"),
+    ],
+)
+def test_ring_element_parse_messages(text, message):
+    with pytest.raises(CertificateParseError) as err:
+        _parse_ring_element(_sqrt_tower(), text)
+    assert str(err.value) == message
+
+
+def test_parsed_files_over_one_tower_share_its_table():
+    text = serialize(special_x04x1x2())
+    a, b = parse(text), parse(text)
+    assert a.tower is b.tower
+    assert a.tower.integer_structure() is b.tower.integer_structure()

@@ -172,6 +172,15 @@ def test_verify_clears_each_rational_scalar_as_its_own():
     assert [verify(true) for _ in range(50)] == [True] * 50
 
 
+def test_empty_monomial_is_refused():
+    """A monomial in no variables would serialize with an empty variable
+    list, which parse rejects, so the library refuses it as the CLI does."""
+    with pytest.raises(ValueError, match="empty monomial"):
+        decompose(KInstance(Monomial(()), 3))
+    with pytest.raises(MalformedCertificateError, match="bad variable names"):
+        Certificate((), 2, Monomial(()), EMPTY_TOWER, ((Q(1), Polynomial.zero(EMPTY_TOWER, 0)),))
+
+
 def test_verify_empty_summands():
     cert = Certificate(
         variables=("x0", "x1"),
