@@ -50,3 +50,17 @@ def test_sweep_decomposes_and_reproduces_the_pinned_digest():
     assert len(instances) == 515 and set(REPAIRED) <= set(instances)
     assert digest(i for i in instances if i not in REPAIRED) == SWEEP_SHA256
     digest(REPAIRED)
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_sweep.py DIR writes every sweep
+    # certificate to DIR, for the reference checker (tests/refcheck.py)
+    import sys
+    from pathlib import Path
+
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+    for k, exps in sweep():
+        cert = decompose(KInstance(Monomial(exps), k))
+        name = f"k{k}_{'-'.join(map(str, exps))}.cert"
+        (out / name).write_text(serialize(cert), encoding="utf-8")

@@ -204,14 +204,20 @@ TRUE_CERTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(TRUE_CERTS))
-@pytest.mark.parametrize("seed", range(2))
-def test_true_identities_and_their_corruptions(name, seed):
+def corruptions(name: str, seed: int) -> list:
+    """(true variant, its corruption) for the certificate ``TRUE_CERTS[name]``,
+    its rescaling and a copy with cancelling pairs, drawn from one seeded
+    rng."""
     rng = random.Random(f"{name} {seed}")
     cert = TRUE_CERTS[name](rng)
     variants = [cert, _rescaled(cert, rng), _with_cancelling_pairs(cert, rng)]
-    for variant in variants:
-        bad = _corrupted(variant, rng)
+    return [(variant, _corrupted(variant, rng)) for variant in variants]
+
+
+@pytest.mark.parametrize("name", sorted(TRUE_CERTS))
+@pytest.mark.parametrize("seed", range(2))
+def test_true_identities_and_their_corruptions(name, seed):
+    for variant, bad in corruptions(name, seed):
         assert oracle(variant) is True and oracle(bad) is False
         for check in KERNELS:
             assert check(variant) is True
