@@ -18,7 +18,9 @@ towers (the most recently used ``TOWER_CACHE_SIZE`` are kept), so every
 element over an equal chain of generators shares one tower object, one
 table and one ``TermVocabulary``, the canonical text of each basis
 monomial's factors that printing and parsing read.  Building and printing
-elements need no table.  The tower is not required to be a field.  Any
+elements need no table.  Each table also keeps the tower's split primes,
+where the tower mod p is a product of copies of F_p, with their evaluation
+matrices, for ``verify``'s modular kernel.  The tower is not required to be a field.  Any
 identity that reduces to zero in the quotient also holds in
 the complex numbers after mapping each generator to one of its roots (such a
 map always exists, choosing roots innermost-first), which is exactly what
@@ -31,9 +33,10 @@ Roots of unity are adjoined through cyclotomic polynomials rather than
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import product
 from math import gcd, lcm, prod
 from typing import NamedTuple
@@ -121,7 +124,7 @@ class ExtensionTower:
     """Immutable ordered sequence of monic generators over Q."""
 
     __slots__ = ("generators", "_hash", "_degrees", "basis", "_position", "_integer",
-                 "_vocabulary")
+                 "_vocabulary", "_one")
 
     def __init__(self, generators=()):
         self.generators = tuple(generators)
@@ -132,6 +135,7 @@ class ExtensionTower:
         self.basis = tuple(e[::-1] for e in product(*(range(d) for d in reversed(degs))))
         self._position = {e: i for i, e in enumerate(self.basis)}
         self._integer = self._vocabulary = None
+        self._one = (1,) + (0,) * (len(self.basis) - 1)  # the numerators of 1
 
     # -- construction ------------------------------------------------------
 
@@ -151,10 +155,13 @@ class ExtensionTower:
             raise TowerError("defining polynomial must have degree >= 2")
         if any(g.name == name for g in self.generators):
             raise TowerError(f"duplicate generator name {name!r}")
-        if self._coerce(coeffs[-1]) != 1:
+        lead = self._coerce(coeffs[-1])
+        if lead.denominator != 1 or lead.numerators != self._one:
             raise TowerError("defining polynomial must be monic")
-        gen = Generator(name, len(coeffs) - 1, tuple(map(self._coerce, coeffs[:-1])))
-        return _interned(self, gen)
+        # the interned tower is found by the coefficients' numerators and
+        # denominators; a Generator is built only for a new tower
+        return _interned(self, name, tuple((c.numerators, c.denominator)
+                                           for c in map(self._coerce, coeffs[:-1])))
 
     # -- basic queries -----------------------------------------------------
 
@@ -285,7 +292,7 @@ class ExtensionTower:
 
 
 class IntegerStructure:
-    """The integer multiplication table of one tower.
+    """The integer multiplication table of one tower, and its split primes.
 
     Vectors are dense sequences of ``size`` ints, one per basis monomial of
     the tower (``ExtensionTower.basis``), the numerators of a ``RingElement``
@@ -297,11 +304,19 @@ class IntegerStructure:
     with integer T and L the least common multiple of the denominators of
     the tower's structure constants (1 for cyclotomic towers), so
     ``mul(x, y)`` returns L*x*y and a product of r factors carries L^(r-1).
-    The whole table, L and the table's norms are built when the structure is
+    The whole table, L and its row norm are built when the structure is
     made, the first time the tower multiplies, row by row in basis order from
     the generators' defining polynomials (``_basis_products``); towers are
-    interned, so that is once per distinct tower.  The empty
-    tower Q is the size-1 case: L = 1 and a vector is ``[n]``.
+    interned, so that is once per distinct tower.  The empty tower Q is the
+    size-1 case: L = 1 and a vector is ``[n]``.
+
+    ``split_primes`` lists, and keeps, the primes p below ``PRIME_LIMIT`` at
+    which the tower splits: p divides neither L nor a denominator of a
+    generator coefficient, and at every tuple of roots mod p of the levels
+    below, each level's defining polynomial has ``degree`` distinct roots
+    mod p.  The n root tuples then make evaluation a ring isomorphism from
+    (Z/p)[tower] to F_p^n (the Chinese remainder theorem, level by level),
+    given by the (n, n) evaluation matrix that each split prime comes with.
     """
 
     def __init__(self, tower: ExtensionTower):
@@ -315,16 +330,14 @@ class IntegerStructure:
         # rho = max over basis pairs (i, j) of sum_k |T_ijk|, so that
         # |mul(x, y)|_1 <= rho * |x|_1 * |y|_1 in the 1-norm
         self.row_norm = max(sum(abs(t) for _, t in row) for row in rows)
-        # c = max over k of sum_ij |T_ijk|: an output coefficient of the table
-        # product is at most c times the largest product of two input
-        # coefficients
-        cols = [0] * n
-        for row in rows:
-            for k, t in row:
-                cols[k] += abs(t)
-        self.column_norm = max(cols)
         self.zero = [0] * n
         self.one = [1] + [0] * (n - 1)
+        # every denominator that a split prime must not divide
+        self._denominators = big * prod(c.denominator for g in tower.generators
+                                        for c in g.lower_coeffs)
+        self._split: list = []  # (p, evaluation matrix) per split prime found
+        self._tried = 0  # candidate primes examined
+        self._orders = None  # per level, m if it is the m-th cyclotomic polynomial
 
     @staticmethod
     def clear(elements):
@@ -335,18 +348,6 @@ class IntegerStructure:
         return [el.numerators if el.denominator == den
                 else [a * (den // el.denominator) for a in el.numerators]
                 for el in elements], den
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """The full table T as int64 of shape (size * size, size), row
-        i * size + j holding T_ij.  Every entry is at most ``column_norm``,
-        which the caller must check fits int64."""
-        n = self.size
-        table = np.zeros((n * n, n), dtype=np.int64)
-        for ij, row in enumerate(self._rows):
-            for k, t in row:
-                table[ij, k] = t
-        return table
 
     def mul(self, x, y):
         n, rows = self.size, self._rows
@@ -373,6 +374,31 @@ class IntegerStructure:
 
     def product(self, factors):
         return reduce(self.mul, factors)
+
+    def split_primes(self, count: int):
+        """The ``count`` largest split primes of the tower, each with its
+        evaluation matrix mod p as int64, row r holding every basis monomial
+        at the r-th root tuple; None when the ``SPLIT_SEARCH`` largest primes
+        hold fewer, as for an inseparable tower.  The primes found so far are
+        kept, and the search goes on from the last one tried."""
+        if self._orders is None:
+            self._orders = [_unity_order(g) for g in self.tower.generators]
+        while len(self._split) < count:
+            if self._tried == SPLIT_SEARCH:
+                return None
+            p = _prime(self._tried)
+            self._tried += 1
+            points = (None if self._denominators % p == 0
+                      else _root_tuples(self.tower, self._orders, p))
+            if points is not None:
+                degrees, basis = self.tower.degrees, self.tower.basis
+                matrix = []
+                for roots in points:
+                    powers = [[pow(r, e, p) for e in range(d)] for r, d in zip(roots, degrees)]
+                    matrix.append([prod(pw[e] for pw, e in zip(powers, exps)) % p
+                                   for exps in basis])
+                self._split.append((p, np.array(matrix, dtype=np.int64)))
+        return self._split[:count]
 
 
 def _basis_products(tower: ExtensionTower) -> list:
@@ -416,6 +442,179 @@ def _combine(pairs) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+# ---------------------------------------------------------------------------
+# Split primes: roots of the defining polynomials mod p, on Python ints
+
+# Every prime used modulo is below this, so that residues fit 26 bits.
+PRIME_LIMIT = 1 << 26
+# The candidate primes, the largest below PRIME_LIMIT, that a tower's search
+# for split primes tries before it gives up on the tower.
+SPLIT_SEARCH = 4096
+_PRIMES: list = []  # the largest primes below PRIME_LIMIT found so far, descending
+
+
+def _prime(i: int) -> int:
+    """The (i + 1)-th largest prime below ``PRIME_LIMIT``."""
+    n = _PRIMES[-1] - 2 if _PRIMES else PRIME_LIMIT - 1
+    while len(_PRIMES) <= i:
+        if is_prime(n):
+            _PRIMES.append(n)
+        n -= 2
+    return _PRIMES[i]
+
+
+def largest_primes(count: int) -> tuple:
+    """The ``count`` largest primes below ``PRIME_LIMIT``, descending."""
+    _prime(count - 1)
+    return tuple(_PRIMES[:count])
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: bases 2, 7 and 61 decide every n < 4,759,123,141."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 61):
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root_tuples(tower: ExtensionTower, orders, p: int):
+    """Every tuple of roots mod p of the tower's levels, innermost first, or
+    None unless each level's defining polynomial, its coefficients evaluated
+    at each tuple of the levels below, has ``degree`` distinct roots mod p.
+    ``orders`` marks the levels that are cyclotomic polynomials.  The caller
+    checks that p divides no coefficient denominator."""
+    rng = random.Random(p)
+    tuples = [()]
+    for gen, m in zip(tower.generators, orders):
+        found, roots_of = [], {}  # a level over Q has one polynomial for all tuples
+        for below in tuples:
+            f = tuple(_value_mod(c, below, p) for c in gen.lower_coeffs) + (1,)
+            if f not in roots_of:
+                roots_of[f] = _unity_roots(m, p) if m else _split_roots(list(f), p, rng)
+            if roots_of[f] is None:
+                return None
+            found += [below + (r,) for r in roots_of[f]]
+        tuples = found
+    return tuples
+
+
+def _unity_order(gen: Generator):
+    """m if the generator's defining polynomial is the m-th cyclotomic
+    polynomial, else None; the m of degree phi(m) = d are at most 2 d^2."""
+    if not all(c.is_rational() for c in gen.lower_coeffs):
+        return None
+    coeffs = tuple(c.rational_value() for c in gen.lower_coeffs) + (1,)
+    return next((m for m in range(3, 2 * gen.degree ** 2 + 1)
+                 if sum(gcd(j, m) == 1 for j in range(m)) == gen.degree
+                 and cyclotomic_poly(m) == coeffs), None)
+
+
+def _unity_roots(m: int, p: int):
+    """The roots mod p of the m-th cyclotomic polynomial, the primitive m-th
+    roots of unity, if p = 1 mod m, when they are distinct; else None."""
+    if p % m != 1:
+        return None
+    factors = [q for q in range(2, m + 1) if m % q == 0 and is_prime(q)]
+    for a in range(2, p):
+        z = pow(a, (p - 1) // m, p)  # its order divides m; is it m?
+        if all(pow(z, m // q, p) != 1 for q in factors):
+            return [pow(z, j, p) for j in range(1, m) if gcd(j, m) == 1]
+
+
+def _value_mod(c: "RingElement", roots, p: int) -> int:
+    """c mod p with its tower's generators at ``roots``."""
+    total = 0
+    for exps, a in zip(c.tower.basis, c.numerators):
+        if a:
+            total += a * prod(pow(r, e, p) for r, e in zip(roots, exps))
+    return total * pow(c.denominator, -1, p) % p
+
+
+# Univariate polynomials mod p: lists of ints, ascending, as in von zur Gathen
+# and Gerhard, *Modern Computer Algebra*, ch. 14.
+
+def _split_roots(f: list, p: int, rng) -> list:
+    """The roots of the monic f mod p if it has deg f distinct ones, that is
+    if f divides x^p - x, else None; found by Cantor-Zassenhaus splitting."""
+    d = len(f) - 1
+    if d > 1 and _powmod([0, 1], p, f, p) != [0, 1] + [0] * (d - 2):
+        return None
+    return _roots(f, p, rng)
+
+
+def _roots(f: list, p: int, rng) -> list:
+    """The roots of a monic f that splits into distinct linear factors mod
+    p > 2: gcd(f, (x + a)^((p-1)/2) - 1) splits f for about half of all a."""
+    if len(f) == 2:
+        return [-f[0] % p]
+    while True:
+        h = _powmod([rng.randrange(p), 1], (p - 1) // 2, f, p)
+        h[0] -= 1
+        g = _gcd(f, h, p)
+        if 2 <= len(g) < len(f):
+            return _roots(g, p, rng) + _roots(_divmod(f, g, p)[0], p, rng)
+
+
+def _divmod(a: list, f: list, p: int):
+    """Quotient and remainder mod p of a by the monic f, the remainder padded
+    to deg f coefficients."""
+    a, d = list(a), len(f) - 1
+    q = [0] * max(0, len(a) - d)
+    for i in range(len(a) - 1, d - 1, -1):
+        c = q[i - d] = a[i] % p
+        if c:
+            for j in range(d):
+                a[i - d + j] -= c * f[j]
+    return q, [x % p for x in a[:d]] + [0] * (d - len(a))
+
+
+def _powmod(base: list, e: int, f: list, p: int) -> list:
+    """base^e mod (f, p), e >= 1, as deg f coefficients."""
+    result, base = None, _divmod(base, f, p)[1]
+    while True:
+        if e & 1:
+            result = base if result is None else _divmod(_mul(result, base), f, p)[1]
+        e >>= 1
+        if not e:
+            return result
+        base = _divmod(_mul(base, base), f, p)[1]
+
+
+def _mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd mod p of a and b, a monic."""
+    while any(b):
+        while not b[-1]:
+            b = b[:-1]
+        inverse = pow(b[-1], -1, p)
+        b = [x * inverse % p for x in b]
+        a, b = b, _divmod(a, b, p)[1]
+    return a
+
+
 def binary_power(base, n: int):
     """base ** n for n >= 1: no multiply by one, no square past the last bit."""
     result = None
@@ -436,7 +635,10 @@ TOWER_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=TOWER_CACHE_SIZE)
-def _interned(base: ExtensionTower, gen: Generator) -> ExtensionTower:
+def _interned(base: ExtensionTower, name: str, coeffs: tuple) -> ExtensionTower:
+    """The tower of ``base`` and a generator with lower coefficients
+    ((numerators, denominator), ...) over ``base``, in lowest terms."""
+    gen = Generator(name, len(coeffs), tuple(RingElement(base, *c) for c in coeffs))
     return ExtensionTower(base.generators + (gen,))
 
 

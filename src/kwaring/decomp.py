@@ -10,11 +10,13 @@ rational is stored as that element of the tower.  ``verify`` re-expands the
 right side exactly, never in floating point: a tower element already is an
 integer vector over one denominator (``[n]`` over Q), so clearing a form or
 a scalar takes an lcm and a scale.  Small expansions run in Python ints.
-Large ones run in numpy int64 modulo primes just below 2^26 whose product
-exceeds a certified bound H on every coefficient of the difference, so a
-difference that vanishes modulo every prime vanishes exactly.  Either way a
-True verdict proves the identity.  No construction in this module returns
-an unverified certificate.
+Large ones run in numpy int64 modulo primes just below 2^26 at which the
+tower splits, whose product exceeds a certified bound H on every
+coefficient of the difference.  At such a prime the tower's elements are
+their values at its n root tuples mod p, so tower products are elementwise,
+and a difference that vanishes modulo every prime vanishes exactly.  Either
+way a True verdict proves the identity.  No construction in this module
+returns an unverified certificate.
 
 The constructions:
 
@@ -46,7 +48,7 @@ The constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain, product as iproduct
 from math import comb, factorial, lcm, prod
 from operator import add
@@ -119,22 +121,23 @@ def verify(cert: Certificate) -> bool:
     Each summand's form and scalar are brought to integer vectors (of length
     1 over Q) over their least common denominators D and D_s by scaling the
     elements' numerators, and the summands are brought to one common
-    denominator.  Small expansions run in Python ints (``_integer_kernel``);
-    from ``MODULAR_MIN_WORK`` on, over a tower of at most
-    ``MODULAR_MAX_SIZE`` basis elements whose table column norm is at most
-    ``_MAX_COLUMN_NORM``, the expansion runs in numpy int64
-    modulo primes whose product exceeds a certified bound on every
-    coefficient of the difference (``_modular_kernel``), so a zero residue
-    there is a zero coefficient as well.  That kernel splits each form's t
-    terms into two halves and sums the products of the halves' assignments
-    over the summands before it applies the tower table, so each leaf of
-    the expansion takes k powers, h - 1 and t - h - 1 half products
-    (h = t // 2) and one cross product, whatever the number of summands.
+    denominator.  Small expansions run in Python ints (``_integer_kernel``).
+    From ``MODULAR_MIN_WORK`` on, the expansion runs in numpy int64 modulo
+    primes at which the tower splits, whose product exceeds a certified
+    bound on every coefficient of the difference (``_modular_kernel``): at
+    such a prime, evaluation at the tower's root tuples mod p is a ring
+    isomorphism, so every tower product is elementwise, and a zero residue
+    there is a zero coefficient as well.  A tower with too few split primes
+    among the ``algebra.SPLIT_SEARCH`` largest below 2^26, as an inseparable
+    one, is expanded in Python ints at any size.  The modular kernel splits
+    each form's t terms into two halves and sums the products of the
+    halves' assignments over the summands, so each leaf of the expansion
+    takes k powers, h - 1 and t - h - 1 half products (h = t // 2) and one
+    cross product, whatever the number of summands.
     """
     args = _cleared(cert)
     ring, parts, k, _ = args
-    if (ring.size <= MODULAR_MAX_SIZE and _expansion_work(ring, parts, k) >= MODULAR_MIN_WORK
-            and ring.column_norm <= _MAX_COLUMN_NORM):
+    if _expansion_work(ring, parts, k) >= MODULAR_MIN_WORK:
         ok = _modular_kernel(*args)
     else:
         ok = _integer_kernel(*args)
@@ -185,14 +188,6 @@ def _cleared(cert: Certificate):
 # for x0^4 x1 x2 and its transforms, tower size 6); on every certificate
 # from 960 on, the modular kernel was faster.
 MODULAR_MIN_WORK = 768
-# The modular kernel's largest tower: its work and table grow as size^2.
-MODULAR_MAX_SIZE = 45
-PRIME_LIMIT = 1 << 26
-# A tower product reduces once, after the table matmul: each output is a sum
-# of products of two residues below p, weighted by table entries, so it stays
-# below (p - 1)^2 * column_norm, which fits int64 up to this column norm
-# (2048 for primes below 2^26).
-_MAX_COLUMN_NORM = (2 ** 63 - 1) // (PRIME_LIMIT - 1) ** 2
 # Size of the modular kernel's largest temporary arrays.
 BLOCK_BYTES = 1 << 18
 
@@ -276,91 +271,100 @@ def _expand(ring, leaves, nout: int, coeffs, k: int) -> list:
 
 
 def _modular_kernel(ring, parts, k: int, target) -> bool:
-    """The expansion minus the target, modulo primes, in numpy int64.
+    """The expansion minus the target, modulo split primes, in numpy int64.
+
+    The primes are the fewest of the tower's split primes whose product
+    exceeds ``_height_bound`` (``IntegerStructure.split_primes``, which
+    brings each one's evaluation matrix); a tower with too few goes to
+    ``_integer_kernel`` instead.  Every cleared coefficient and scalar is
+    mapped once, mod each prime, to its values at the tower's n root
+    tuples, and from there every tower product is elementwise.
 
     Summands are grouped by support.  The scalar enters as the zeroth power
     of the first term, ``pw[0] = s``, the others start at ``pw[0] = 1``, and
-    ``pw[b] = mul(pw[b-1], c)``.  A leaf, one exponent assignment (b_u) of
-    the t terms, is the product of its powers pw_u[b_u].  The terms split
-    into halves [0, h) and [h, t), h = t // 2, and a leaf pairs a first-half
+    ``pw[b] = pw[b-1] * c``.  A leaf, one exponent assignment (b_u) of the t
+    terms, is the product of its powers pw_u[b_u].  The terms split into
+    halves [0, h) and [h, t), h = t // 2, and a leaf pairs a first-half
     assignment of degree a with a second-half one of degree k - a.  Every
-    summand multiplies out each half's assignments of every degree; for
-    each split a one matmul over the summands sums the outer products of
-    the pairs, and the table, which is linear, turns each leaf's sum into
-    the sum of its products (``_leaf_sums``).  So a leaf takes k powers,
-    h - 1 and t - h - 1 half products and one cross product, k + t - 1 in
-    all (a single term has no split: its leaf is pw[k]), and every
-    contribution of a summand carries L^(k+t-1) * D^k * D_s, as in the
-    leaf-by-leaf product.  Leaves are multiplied by their multinomials, and
-    all are grouped by output monomial with one sort.
+    summand multiplies out each half's assignments of every degree, and for
+    each split one matmul per root tuple sums the products of the pairs
+    over the summands (``_leaf_sums``).  Leaves are multiplied by their
+    multinomials, and all are grouped by output monomial with one sort.
 
-    ``_height_bound`` bounds every coefficient of the exact difference, and
-    the primes' product exceeds it, so all residues are zero exactly when
-    the exact difference is zero.  The tower must have at most
-    ``MODULAR_MAX_SIZE`` basis elements and a table column norm of at most
-    ``_MAX_COLUMN_NORM``, which keeps ``_mul_mod`` exact in int64.
+    Why a zero result is a proof.  The Python-int product ``mul`` returns
+    L*x*y, and the exact difference X that ``_height_bound`` bounds is the
+    one whose leaves take k + t - 1 such products, each summand's scalar
+    scaled to the common denominator of ``_modular_denominators``.  At a
+    split prime p (dividing neither L nor a coefficient denominator),
+    evaluation at the n root tuples is a ring isomorphism from (Z/p)[tower]
+    to F_p^n, so it maps L*x*y to L * x(r) * y(r) at every tuple r: scaling
+    each summand's scalar by L^(k+t-1) once makes the elementwise leaves the
+    evaluations of X's leaves mod p.  So the values all vanish at p exactly
+    when every coordinate of X vanishes mod p, and, at primes whose product
+    exceeds H >= |every coordinate of X|, exactly when X = 0.  Over Q
+    (n = 1) the evaluation is the identity and is skipped.
     """
-    n = ring.size
-    if n > MODULAR_MAX_SIZE:
-        raise ValueError(f"modular expansion needs a tower of size <= {MODULAR_MAX_SIZE}, not {n}")
-    if ring.column_norm > _MAX_COLUMN_NORM:
-        raise ValueError(f"modular expansion needs a table column norm <= {_MAX_COLUMN_NORM}, "
-                         f"not {ring.column_norm}")
+    split = _split_primes_above(ring, _height_bound(ring, parts, k))
+    if split is None:
+        return _integer_kernel(ring, parts, k, target)
+    primes, moduli, points = split
+    n, m = ring.size, len(primes)
     dens, common = _modular_denominators(ring, parts, k)
-    primes = _primes_above(_height_bound(ring, parts, k))
-    m = len(primes)
-    moduli = np.array(primes, dtype=np.int64).reshape(m, 1)
     groups: dict = {}  # support -> each summand's coefficients, then its scalar
     for (support, coeffs, _, s, _), den in zip(parts, dens):
         flat = groups.setdefault(support, [])
         for c in coeffs:
             flat += c
-        flat += ring.scale(s, common // den)
-    monomials, sums, places, offset = [], [], [], 0
+        flat += ring.scale(s, common // den * ring.denominator ** (k + len(support) - 1))
+    sums = []
     for support, flat in groups.items():
         t = len(support)
-        values = _residues(flat, moduli).reshape(m, -1, t + 1, n)
-        leaves = _leaf_sums(values, k, ring.table, moduli)
-        leaves *= _multinomial_residues(t, k, m)
-        places.append(_split_plan(t, k).position + offset)
-        offset += leaves.shape[2]
+        values = _evaluate(_residues(flat, moduli).reshape(m, -1, n), points, moduli)
+        leaves = _leaf_sums(values.reshape(m, -1, t + 1, n), k, moduli)
+        leaves *= _multinomial_residues(t, k, primes)
         sums.append(_reduce(leaves, moduli))
-        monomials.append(multinomial_table(t, k)[1]
-                         @ np.array(support, dtype=np.int64).reshape(t, len(target)))
     if not sums:
         return False
-    mono = np.concatenate(monomials)
-    order = np.lexsort(mono.T if mono.shape[1] else np.zeros((1, len(mono)), np.int64))
-    mono = mono[order]
-    starts = np.flatnonzero(np.concatenate(([True], (mono[1:] != mono[:-1]).any(axis=1))))
-    leaves = np.concatenate(sums, axis=2)[:, :, np.concatenate(places)[order]]
-    total = _reduce(np.add.reduceat(leaves, starts, axis=2), moduli)
-    hit = np.flatnonzero((mono[starts] == np.array(target)).all(axis=1))
-    if not len(hit):
+    order, starts, outputs = _output_plan(tuple(groups), k)
+    hit = outputs.get(target)
+    if hit is None:
         return False
-    total[:, 0, hit[0]] -= _residues([common], moduli)[:, 0]
+    leaves = np.concatenate(sums, axis=2)[:, :, order]
+    total = _reduce(np.add.reduceat(leaves, starts, axis=2), moduli)
+    total[:, :, hit] -= _residues([common], moduli)  # 1 is 1 at every root tuple
     return not total.any()
 
 
-# The cross step sums, per entry, one product of two residues per summand:
-# each is below (p - 1)^2 < 2^52, so at most this many of them, added to one
-# reduced value below p, stay below 2^63 before the sum is reduced.  The
-# table then works on reduced entries, below p: its sums stay below
-# p * column_norm <= 2^37.
+# A sum of int64 products of two residues, each below (p - 1)^2 < 2^52,
+# stays below 2^63 for at most this many products added to one reduced
+# value below p: the cross step sums one per summand, the evaluation one
+# per basis element, and each reduces after this many.
 _MAX_TERMS = 2048
 
 
-def _leaf_sums(values, k: int, table, moduli):
-    """Per leaf, sum_j of summand j's product of powers, reduced:
-    (primes, size, leaves), leaves in ``_split_plan`` order.
+def _evaluate(values, points, moduli):
+    """Coordinate vectors (primes, rows, size) mod each prime as their values
+    at the tower's root tuples, reduced; ``points`` holds each prime's
+    transposed evaluation matrix, or is None over Q."""
+    if points is None:
+        return values
+    n = values.shape[2]
+    out = np.zeros(values.shape, dtype=np.int64)
+    for j in range(0, n, _MAX_TERMS):
+        out += values[:, :, j:j + _MAX_TERMS] @ points[:, j:j + _MAX_TERMS]
+        _reduce(out, moduli)
+    return out
 
-    ``values`` holds each summand's t coefficient vectors and its scalar,
-    (primes, summands, t + 1, size).  Leaves go in chunks of whole splits,
-    and summands in blocks of at most ``_MAX_TERMS``, so that the pre-table
-    sums of a chunk, one size x size outer product per leaf, and a block's
-    powers and half products stay near ``BLOCK_BYTES``.  A chunk's sums
-    accumulate over the blocks and are reduced after each one, so the table
-    works on reduced entries, once per leaf.
+
+def _leaf_sums(values, k: int, moduli):
+    """Per leaf and root tuple, sum_j of summand j's product of powers,
+    reduced: (primes, size, leaves), leaves in ``_split_plan`` order.
+
+    ``values`` holds each summand's t coefficients and its scalar at every
+    root tuple, (primes, summands, t + 1, size).  Summands go in blocks
+    whose powers and half products stay near ``BLOCK_BYTES``; each block
+    adds its cross products to the sums, which are reduced before they
+    would hold more than ``_MAX_TERMS`` of them.
     """
     m, nmembers, t, n = values.shape
     t -= 1
@@ -368,79 +372,60 @@ def _leaf_sums(values, k: int, table, moduli):
         total = np.zeros((m, n, 1), dtype=np.int64)
         block = _block(m, n, k, t, 1)
         for j in range(0, nmembers, block):
-            pw = _powers(values[:, j:j + block], k, table, moduli)
+            pw = _powers(values[:, j:j + block], k, moduli)
             total += pw[:, :, k, 0].sum(axis=2, keepdims=True)
             _reduce(total, moduli)
         return total
     plan = _split_plan(t, k)
     out = np.empty((m, n, len(plan.position)), dtype=np.int64)
-    for chunk in _leaf_chunks(plan.splits, BLOCK_BYTES // (8 * m * n * n)):
-        (f0, _, _, s1, l0, _), (_, f1, s0, _, _, l1) = chunk[0], chunk[-1]
-        acc = np.empty((m, n, n, l1 - l0), dtype=np.int64)
-        pairs = [(acc[..., c0 - l0:c1 - l0].reshape(m, n, n, a1 - a0, b1 - b0),
-                  slice(a0 - f0, a1 - f0), slice(b0 - s0, b1 - s0))
-                 for a0, a1, b0, b1, c0, c1 in chunk]
-        block = _block(m, n, k, t, n * max(f1 - f0, s1 - s0))
-        for j in range(0, nmembers, block):
-            pw = _powers(values[:, j:j + block], k, table, moduli).reshape(m, n, (k + 1) * t, -1)
-            first = _half_products(pw, plan.first[:, f0:f1], table, moduli)[:, :, None]
-            second = _half_products(pw, plan.second[:, s0:s1], table, moduli)
-            second = second.swapaxes(2, 3)[:, None]
-            for view, rows, cols in pairs:
-                if j:
-                    view += first[..., rows, :] @ second[..., cols]
-                else:
-                    np.matmul(first[..., rows, :], second[..., cols], out=view)
-            _reduce(acc, moduli)
-        out[..., l0:l1] = (acc.reshape(m, n, -1) if n == 1  # Q's table is [[1]]
-                           else _table_mod(acc.reshape(m, n * n, -1), table, moduli))
-    return out
+    views = [(out[..., l0:l1].reshape(m, n, a1 - a0, b1 - b0), slice(a0, a1), slice(b0, b1))
+             for a0, a1, b0, b1, l0, l1 in plan.splits]
+    block = _block(m, n, k, t, max(plan.first.shape[1], plan.second.shape[1]))
+    summed = 0  # cross products in each sum since ``out`` was reduced
+    for j in range(0, nmembers, block):
+        pw = _powers(values[:, j:j + block], k, moduli).reshape(m, n, (k + 1) * t, -1)
+        first = _half_products(pw, plan.first, moduli)
+        second = _half_products(pw, plan.second, moduli).swapaxes(2, 3)
+        if summed + pw.shape[3] > _MAX_TERMS:
+            _reduce(out, moduli)
+            summed = 0
+        summed += pw.shape[3]
+        for view, rows, cols in views:
+            if j:
+                view += first[..., rows, :] @ second[..., cols]
+            else:
+                np.matmul(first[..., rows, :], second[..., cols], out=view)
+    return _reduce(out, moduli)
 
 
 def _block(m: int, n: int, k: int, t: int, rows: int) -> int:
     """Summands per block: the largest temporaries, the powers and a half's
-    outer products (``rows`` values per summand), stay near ``BLOCK_BYTES``."""
+    products (``rows`` values per summand), stay near ``BLOCK_BYTES``."""
     return min(_MAX_TERMS, max(1, BLOCK_BYTES // (8 * m * n * max((k + 1) * t, rows))))
 
 
-def _leaf_chunks(splits, budget: int):
-    """Consecutive splits, grouped so that each group has at most ``budget``
-    leaves, or is one split.  Consecutive splits read contiguous rows of
-    both halves."""
-    chunk, size = [], 0
-    for split in splits:
-        leaves = split[5] - split[4]
-        if chunk and size + leaves > budget:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append(split)
-        size += leaves
-    yield chunk
-
-
-def _powers(values, k: int, table, moduli):
-    """pw[b] = mul(pw[b-1], c) for b = 1..k from pw[0] = s for the first
-    term and 1 for the others: (primes, size, k + 1, terms, summands) from
+def _powers(values, k: int, moduli):
+    """pw[b] = pw[b-1] * c for b = 1..k from pw[0] = s for the first term
+    and 1 for the others: (primes, size, k + 1, terms, summands) from
     ``values`` of shape (primes, summands, terms + 1, size)."""
     v = np.ascontiguousarray(values.transpose(0, 3, 2, 1))
     m, n, t, nmembers = v.shape
     c = v[:, :, :t - 1]
-    pw = np.zeros((m, n, k + 1, t - 1, nmembers), dtype=np.int64)
-    pw[:, 0, 0] = 1
+    pw = np.ones((m, n, k + 1, t - 1, nmembers), dtype=np.int64)
     pw[:, :, 0, 0] = v[:, :, t - 1]
     for b in range(1, k + 1):
-        pw[:, :, b] = _mul_mod(pw[:, :, b - 1], c, table, moduli)
+        pw[:, :, b] = _reduce(pw[:, :, b - 1] * c, moduli)
     return pw
 
 
-def _half_products(pw, index, table, moduli):
+def _half_products(pw, index, moduli):
     """Each half assignment's product of powers, (primes, size, rows,
     summands): ``index`` holds, per term of the half, the flat (power, term)
     position of its power in every row, and takes one product less than
     the half has terms."""
     out = np.take(pw, index[0], axis=2)
     for row in index[1:]:
-        out = _mul_mod(out, np.take(pw, row, axis=2), table, moduli)
+        out = _reduce(out * np.take(pw, row, axis=2), moduli)
     return out
 
 
@@ -462,7 +447,8 @@ class _SplitPlan(NamedTuple):
     position: np.ndarray
 
 
-# Plans and multinomial residues kept, one per (t, k) and (t, k, primes).
+# Plans, output plans, multinomial residues and prime arrays kept, one per
+# (t, k), (supports, k), (t, k, primes) and (tower, number of primes).
 PLAN_CACHE_SIZE = 64
 
 
@@ -495,35 +481,37 @@ def _split_plan(t: int, k: int) -> _SplitPlan:
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _multinomial_residues(t: int, k: int, m: int) -> np.ndarray:
-    """The multinomials of the leaves of ``_leaf_sums`` mod each of the m
-    largest primes, (m, 1, leaves)."""
+def _output_plan(supports: tuple, k: int):
+    """How the leaves of support groups, each in ``_split_plan`` order and
+    concatenated in group order, sum to output monomials: the leaf order
+    that sorts them by monomial, where each monomial's run starts in it,
+    and {monomial: run}."""
+    monomials, places, offset = [], [], 0
+    for support in supports:
+        t = len(support)
+        counts = multinomial_table(t, k)[1]
+        monomials.append(counts @ np.array(support, dtype=np.int64))
+        places.append(_split_plan(t, k).position + offset)
+        offset += len(counts)
+    mono = np.concatenate(monomials)
+    order = np.lexsort(mono.T)
+    mono = mono[order]
+    starts = np.flatnonzero(np.concatenate(([True], (mono[1:] != mono[:-1]).any(axis=1))))
+    outputs = {e: run for run, e in enumerate(map(tuple, mono[starts].tolist()))}
+    return np.concatenate(places)[order], starts, outputs
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _multinomial_residues(t: int, k: int, primes: tuple) -> np.ndarray:
+    """The multinomials of the leaves of ``_leaf_sums`` mod each prime,
+    (primes, 1, leaves)."""
     residues = _residues(multinomial_table(t, k)[2],
-                         np.array(_primes(m), dtype=np.int64).reshape(m, 1))
+                         np.array(primes, dtype=np.int64).reshape(-1, 1))
     out = np.empty_like(residues)
     out[:, _split_plan(t, k).position] = residues
-    out = out.reshape(m, 1, -1)
+    out = out.reshape(len(primes), 1, -1)
     out.flags.writeable = False
     return out
-
-
-def _mul_mod(x, y, table, moduli):
-    """``mul`` on equal-shaped stacks of residue vectors (primes, size, ...)
-    mod each prime: the outer product, unreduced (entries below p^2 < 2^52),
-    times the int64 table shared by all primes, reduced once.  Exact while
-    (p - 1)^2 times the table's column norm stays below 2^63."""
-    m, n = x.shape[:2]
-    if n == 1:  # the empty tower Q, whose table is [[1]]
-        return _reduce(x * y, moduli)
-    outer = x[:, :, None] * y[:, None]
-    return _table_mod(outer.reshape(m, n * n, -1), table, moduli).reshape(x.shape)
-
-
-def _table_mod(outer, table, moduli):
-    """Basis-pair coefficients (primes, size^2, rows) times the table,
-    reduced mod each prime, (primes, size, rows): every tower product in
-    the modular kernel goes through here."""
-    return _reduce(table.T @ outer, moduli)
 
 
 # From this many entries per prime on, ``_reduce`` divides instead of taking
@@ -570,8 +558,7 @@ def _height_bound(ring, parts, k: int) -> int:
     In the 1-norm, ``mul`` grows a product by at most rho = ``ring.row_norm``,
     and a leaf of a summand with t terms takes k + t - 1 products: k powers,
     h - 1 and t - h - 1 half products and one cross product (h = t // 2).
-    The cross step sums those products over the summands before the table
-    applies, which by linearity changes no exact value, so
+    Summing the products over the summands changes no exact value, so
 
         H = common + sum_j (common / den_j) |s_j| rho^(k+t_j-1) (sum_u |c_ju|)^k
     """
@@ -584,47 +571,27 @@ def _height_bound(ring, parts, k: int) -> int:
     )
 
 
-def _primes_above(height: int) -> tuple:
-    """The fewest of the largest primes below 2^26 whose product exceeds height."""
+def _split_primes_above(ring, height: int):
+    """The fewest of the tower's largest split primes whose product exceeds
+    height, as ``_prime_arrays``; None if the tower has too few."""
     count = max(1, -(-height.bit_length() // 26))
-    while prod(_primes(count)) <= height:
+    while True:
+        split = ring.split_primes(count)
+        if split is None:
+            return None
+        if prod(p for p, _ in split) > height:
+            return _prime_arrays(ring, count)
         count += 1
-    return _primes(count)
 
 
-@cache
-def _primes(count: int) -> tuple:
-    """The `count` largest primes below ``PRIME_LIMIT``, descending."""
-    out = []
-    n = PRIME_LIMIT - 1
-    while len(out) < count:
-        if _is_prime(n):
-            out.append(n)
-        n -= 2
-    return tuple(out)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: bases 2, 7 and 61 decide every n < 4,759,123,141."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 61):
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in (2, 7, 61):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _prime_arrays(ring, count: int):
+    """The tower's ``count`` largest split primes, their moduli (primes, 1)
+    and their transposed evaluation matrices stacked, None over Q."""
+    split = ring.split_primes(count)
+    primes = tuple(p for p, _ in split)
+    points = None if ring.size == 1 else np.stack([matrix.T for _, matrix in split])
+    return primes, np.array(primes, dtype=np.int64).reshape(count, 1), points
 
 
 def _must_verify(cert: Certificate) -> Certificate:

@@ -3,10 +3,10 @@ certificate files with the standard library alone and expands them by
 repeated multiplication, sharing no code with kwaring.
 
 The two must agree on every file: the golden files and a seeded corruption
-of each, a seeded tenth of the decompose sweep, and every true certificate
-and corruption of ``tests/test_verify_oracle.py``.  The full sweep runs in
-CI (``python tests/test_sweep.py DIR`` then ``python tests/refcheck.py
-DIR/*.cert``).
+of each, a seeded tenth of the decompose sweep, every true certificate and
+corruption of ``tests/test_verify_oracle.py``, and a false identity whose
+difference one prime divides.  The full sweep runs in CI (``python
+tests/test_sweep.py DIR`` then ``python tests/refcheck.py DIR/*.cert``).
 """
 
 import ast
@@ -17,10 +17,13 @@ from pathlib import Path
 import pytest
 
 import refcheck
+from kwaring import decomp
+from kwaring.algebra import EMPTY_TOWER
 from kwaring.certfile import parse, serialize
-from kwaring.decomp import decompose, verify
-from kwaring.polynomials import Monomial
+from kwaring.decomp import _cleared, decompose, product_linear, verify
+from kwaring.polynomials import Monomial, Polynomial
 from kwaring.rank import KInstance
+from kwaring.rationals import Q
 
 from test_sweep import sweep
 from test_verify_kernels import GOLDEN_DIR, corrupted
@@ -65,3 +68,19 @@ def test_the_oracle_identities_and_their_corruptions(name, seed):
     for variant, bad in corruptions(name, seed):
         assert agree(serialize(variant)) is True
         assert agree(serialize(bad)) is False
+
+
+def test_a_difference_that_one_prime_divides():
+    """product_linear(4) plus (p / common) x0^4, with p the largest prime
+    the modular kernel uses over Q and common the summands' common
+    denominator: the exact difference is p x0^4, which vanishes modulo p.
+    ``_height_bound`` counts the new scalar, so a second prime rejects it."""
+    cert = product_linear(4)
+    _, common = decomp._modular_denominators(*_cleared(cert)[:3])
+    (p, _), = EMPTY_TOWER.integer_structure().split_primes(1)
+    x0 = Polynomial.variable(EMPTY_TOWER, 4, 0)
+    cert.summands += ((EMPTY_TOWER.scalar(Q(p, common)), x0),)
+    ring, parts, k, _ = _cleared(cert)
+    assert decomp._modular_denominators(ring, parts, k)[1] == common
+    assert decomp._expansion_work(ring, parts, k) >= decomp.MODULAR_MIN_WORK
+    assert agree(serialize(cert)) is False

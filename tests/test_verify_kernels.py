@@ -1,30 +1,33 @@
 """The two expansion kernels behind ``verify`` against each other.
 
 ``_integer_kernel`` expands in Python ints; ``_modular_kernel`` expands in
-numpy int64 modulo primes whose product exceeds ``_height_bound``.  They must
-give the same verdict on every certificate of the decompose sweep, on the
-golden files and on a seeded single-digit corruption of each golden file, and
-the height bound must dominate every coefficient of the exact difference
-that the integer kernel computes.  The modular kernel's tower product
-``_mul_mod`` must equal ``IntegerStructure.mul`` reduced mod each prime, up to
-the table column norm that keeps it exact in int64.  The modular kernel
-splits each support's terms into two halves and sums the outer products of
-their assignments over the summands, so the table sees one cross product per
-leaf; its edge cases (one term, odd term counts, mixed supports, a support
-group too large for one int64 accumulation) and that count are pinned here.
-The sympy oracle runs both kernels too (``tests/test_verify_oracle.py``).
+numpy int64 modulo primes at which the tower splits, whose product exceeds
+``_height_bound``.  They must give the same verdict on every certificate of
+the decompose sweep, on the golden files and on a seeded single-digit
+corruption of each golden file, and the height bound must dominate every
+coefficient of the exact difference that the integer kernel computes.  At a
+split prime, evaluation at the tower's root tuples must map ``mul(x, y)``,
+which is L*x*y, to L times the pointwise product, through an invertible
+evaluation matrix; a tower without split primes falls back to the integer
+kernel.  The modular kernel splits each support's terms into two halves and
+sums the products of their assignments over the summands, so a leaf takes
+one cross product; its edge cases (one term, odd term counts, mixed
+supports, a support group too large for one int64 accumulation) and its
+product count are pinned here.  The sympy oracle runs both kernels too
+(``tests/test_verify_oracle.py``).
 """
 
 import random
 import tracemalloc
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kwaring import decomp
-from kwaring.algebra import EMPTY_TOWER, roots_of_unity_tower
+from kwaring.algebra import (EMPTY_TOWER, PRIME_LIMIT, is_prime, largest_primes,
+                             roots_of_unity_tower)
 from kwaring.certfile import parse, serialize
 from kwaring.decomp import (
     Certificate,
@@ -33,8 +36,6 @@ from kwaring.decomp import (
     _integer_difference,
     _integer_kernel,
     _modular_kernel,
-    _mul_mod,
-    _primes,
     _split_plan,
     decompose,
     monomial_linear_decomp,
@@ -47,6 +48,7 @@ from kwaring.rationals import Q
 
 from test_sweep import sweep
 from test_verify_oracle import (
+    TABLE_TOWERS,
     _nested_cubic_tower,
     _nested_tower,
     _sqrt_tower,
@@ -209,8 +211,8 @@ def test_a_support_group_beyond_one_int64_accumulation():
 
 
 def test_small_blocks_give_the_same_verdicts(monkeypatch):
-    """With a tiny ``BLOCK_BYTES`` the leaves go in many chunks and the
-    summands in many blocks; the verdicts do not move."""
+    """With a tiny ``BLOCK_BYTES`` the summands go in many blocks; the
+    verdicts do not move."""
     monkeypatch.setattr(decomp, "BLOCK_BYTES", 1 << 10)
     for cert in (monomial_linear_decomp((1, 2, 3, 3)), product_linear(6), _polarized_product()):
         assert _both(cert) == (True, True)
@@ -249,51 +251,92 @@ def test_split_plan_pairs_every_leaf_once(t):
 
 
 def test_each_leaf_reaches_the_table_once(monkeypatch):
-    """Rows that reach the tower table while verifying the (1, 2, 3, 3)
-    averaging certificate: k powers per term, the products of each half's
-    assignments, then one cross product per leaf, where a leaf-by-leaf
-    expansion takes t - 1 products per leaf and summand."""
+    """Elementwise tower products while verifying the (1, 2, 3, 3) averaging
+    certificate, per prime and root tuple: k powers per term and summand,
+    the products of each half's assignments, then one cross product per
+    leaf and summand, summed over the summands by one matmul per split,
+    where a leaf-by-leaf expansion takes t - 1 products per leaf and
+    summand.  No table product is left: evaluation makes each of them one
+    multiplication."""
     cert = monomial_linear_decomp((1, 2, 3, 3))
     args = _cleared(cert)
     ring, parts, k, _ = args
     members, t = len(parts), len(parts[0][0])
-    assert (members, t, k, ring.size > 1) == (48, 4, 9, True)
-    rows = []
-    table_mod = decomp._table_mod
+    assert (members, t, k, ring.size) == (48, 4, 9, 4)
+    counts = {"powers": 0, "halves": 0, "leaves": 0}
+    powers, half_products, leaf_sums = decomp._powers, decomp._half_products, decomp._leaf_sums
 
-    def counted(outer, table, moduli):
-        rows.append(outer.shape[2])
-        return table_mod(outer, table, moduli)
+    def counted_powers(values, k, moduli):
+        pw = powers(values, k, moduli)
+        counts["powers"] += k * pw.shape[3] * pw.shape[4]
+        return pw
 
-    monkeypatch.setattr(decomp, "_table_mod", counted)
+    def counted_halves(pw, index, moduli):
+        out = half_products(pw, index, moduli)
+        counts["halves"] += (len(index) - 1) * out.shape[2] * out.shape[3]
+        return out
+
+    def counted_leaves(values, k, moduli):
+        out = leaf_sums(values, k, moduli)
+        counts["leaves"] += out.shape[2]
+        return out
+
+    monkeypatch.setattr(decomp, "_powers", counted_powers)
+    monkeypatch.setattr(decomp, "_half_products", counted_halves)
+    monkeypatch.setattr(decomp, "_leaf_sums", counted_leaves)
     assert _modular_kernel(*args) is True
     h = t // 2
     halves = comb(k + h, h) * (h - 1) + comb(k + t - h, t - h) * (t - h - 1)
     leaves = comb(k + t - 1, t - 1)
-    assert rows[-1] == leaves
-    assert sum(rows) == members * t * k + members * halves + leaves == 7228
-    assert sum(rows) < members * t * k + members * (t - 1) * leaves
+    assert counts == {"powers": members * t * k, "halves": members * halves, "leaves": leaves}
+    assert members * (t * k + halves + leaves) == 17568
+    assert members * (t * k + halves + leaves) < members * (t * k + (t - 1) * leaves)
 
 
-def test_plain_q_grid_and_large_towers():
-    cert = monomial_linear_decomp((1, 1, 1, 1))  # product of four variables over Q
-    assert cert.tower == EMPTY_TOWER and _both(cert) == (True, True)
+def _integer_kernel_raises(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Python-int kernel ran")
+
+    monkeypatch.setattr(decomp, "_integer_kernel", refuse)
+
+
+def test_plain_q_grid_and_large_towers(monkeypatch):
+    """Q, and towers of 48 and 144 basis elements, verify on the modular
+    path: there is no size cap.  A corrupted copy of each is rejected."""
     big = roots_of_unity_tower([5, 7, 9])  # 4 * 6 * 6 = 144 basis elements
     z0, z1 = (Polynomial.variable(big, 2, j) for j in range(2))
-    cert = _cert(big, 2, 2, (1, 1), [(big.scalar(Q(1, 4)), z0 + z1),
-                                     (big.scalar(Q(-1, 4)), z0 - z1)])
-    assert verify(cert) is True
-    with pytest.raises(ValueError, match="size <= 45"):
-        _modular_kernel(*_cleared(cert))
+    large = _cert(big, 2, 2, (1, 1), [(big.scalar(Q(1, 4)), z0 + z1),
+                                      (big.scalar(Q(-1, 4)), z0 - z1)])
+    # built (and verified) before the integer kernel is patched out
+    certs = [monomial_linear_decomp((1, 1, 1, 1)), monomial_linear_decomp((1, 2, 4, 6)), large]
+    _integer_kernel_raises(monkeypatch)
+    for cert, size in zip(certs, (1, 48, 144)):
+        args = _cleared(cert)
+        assert args[0].size == size
+        assert decomp._expansion_work(*args[:3]) >= decomp.MODULAR_MIN_WORK
+        assert verify(cert) is True
+        assert verify(_rescaled(cert, 2)) is False
 
 
 def test_primes_are_distinct_and_below_the_limit():
-    primes = _primes(40)
-    assert len(set(primes)) == 40 and all(p < 2 ** 26 for p in primes)
+    primes = largest_primes(40)
+    assert len(set(primes)) == 40 and all(p < PRIME_LIMIT == 2 ** 26 for p in primes)
+    assert list(primes) == sorted(primes, reverse=True)
     for p in primes:
         assert all(p % q for q in range(2, int(p ** 0.5) + 1))
-    assert [n for n in range(2, 2000) if decomp._is_prime(n)] == [
+    assert [n for n in range(2, 2000) if is_prime(n)] == [
         n for n in range(2, 2000) if all(n % q for q in range(2, int(n ** 0.5) + 1))]
+
+
+@pytest.mark.parametrize("tower", [EMPTY_TOWER, _sqrt_tower()], ids=["Q", "sqrt"])
+def test_split_primes_cover_the_height(tower):
+    """The fewest split primes whose product exceeds the height: a product
+    of two primes needs a third."""
+    ring = tower.integer_structure()
+    two = prod(p for p, _ in ring.split_primes(2))
+    for height, count in ((1, 1), (two - 1, 2), (two, 3)):
+        primes = decomp._split_primes_above(ring, height)[0]
+        assert len(primes) == count and prod(primes) > height
 
 
 def test_verify_memory_stays_bounded():
@@ -324,40 +367,97 @@ def test_verify_memory_of_product_linear_8_stays_bounded():
 
 
 def _sqrt_of(n):
-    """The tower u^2 = n: its table column norm is n + 1."""
+    """The tower u^2 = n."""
     return EMPTY_TOWER.extend("u", (Q(-n), Q(0), Q(1)))
 
 
-@pytest.mark.parametrize(
-    "tower",
-    [_sqrt_tower(), _two_sqrt_tower(), _nested_tower(), _nested_cubic_tower(),
-     roots_of_unity_tower([5, 6]), _sqrt_of(2047)],
-    ids=["sqrt", "two-sqrt", "nested", "nested-cubic", "cyclotomic 5, 6",
-         "u^2 = 2047, at the column bound"],
-)
+def _rank_mod(rows, p: int) -> int:
+    """The rank mod p of a matrix of ints, by Gaussian elimination."""
+    rows, rank = [[a % p for a in row] for row in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inverse % p
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+EVALUATION_TOWERS = {
+    **TABLE_TOWERS,
+    "u^2 = 2047, at the column bound": _sqrt_of(2047),
+    "u^2 = 3000": _sqrt_of(3000),
+}
+
+
+@pytest.mark.parametrize("tower", EVALUATION_TOWERS.values(), ids=EVALUATION_TOWERS.keys())
 def test_mul_mod_is_mul_reduced_mod_each_prime(tower):
+    """At each of three split primes p: p divides no denominator of the
+    tower, the evaluation matrix E is invertible mod p, and
+    E mul(x, y) = L * (E x) * (E y) mod p, elementwise, for vectors with
+    every residue p - 1 and random ones.  The nested cubic tower has none:
+    w^3 - (u/3) w^2 = w^2 (w - u/3) has a double root at every prime."""
     ring = tower.integer_structure()
-    assert ring.column_norm <= decomp._MAX_COLUMN_NORM
-    n, primes = ring.size, _primes(3)
-    top = np.array(primes, dtype=np.int64).reshape(-1, 1, 1) - 1
-    rng = np.random.default_rng(n)
-    x = np.concatenate([np.broadcast_to(top, (3, 1, n)),  # every residue p - 1
-                        rng.integers(0, top, size=(3, 16, n), endpoint=True)], axis=1)
-    y = np.concatenate([x[:, :1], x[:, :0:-1]], axis=1)
-    # _mul_mod takes the basis on axis 1: (primes, size, products)
-    got = _mul_mod(np.ascontiguousarray(x.transpose(0, 2, 1)),
-                   np.ascontiguousarray(y.transpose(0, 2, 1)), ring.table, top + 1)
-    for i, p in enumerate(primes):
-        for b in range(x.shape[1]):
-            want = [v % p for v in ring.mul(x[i, b].tolist(), y[i, b].tolist())]
-            assert got[i, :, b].tolist() == want, (i, b)
+    n, big = ring.size, ring.denominator
+    split = ring.split_primes(3)
+    if tower == _nested_cubic_tower():
+        assert split is None
+        return
+    assert [p for p, _ in split] == sorted({p for p, _ in split}, reverse=True)
+    rng = random.Random(n)
+    for p, matrix in split:
+        assert big % p and all(c.denominator % p for g in tower.generators
+                               for c in g.lower_coeffs)
+        assert matrix.shape == (n, n) and _rank_mod(matrix.tolist(), p) == n
+        xs = [[p - 1] * n] + [[rng.randrange(p) for _ in range(n)] for _ in range(16)]
+        for x, y in zip(xs, xs[:1] + xs[:0:-1]):
+            ex, ey, exy = ([sum(e * a for e, a in zip(row, v)) % p for row in matrix.tolist()]
+                           for v in (x, y, ring.mul(x, y)))
+            assert exy == [big * a * b % p for a, b in zip(ex, ey)]
 
 
-def test_towers_beyond_the_column_bound_use_the_integer_kernel():
-    """u^2 = 3000 has column norm 3001, where one p^2-sized product times the
-    table could overflow int64: verify expands it in Python ints."""
+@pytest.mark.parametrize("tower", [_nested_cubic_tower(), EMPTY_TOWER.extend("u", (1, -2, 1))],
+                         ids=["nested-cubic, w^3 - (u/3) w^2", "u^2 - 2u + 1"])
+def test_inseparable_towers_use_the_integer_kernel(tower, monkeypatch):
+    """A tower with a repeated root has no split prime: product_linear(4)
+    with a cancelling pair in the repeated generator goes to the
+    Python-int kernel, through the modular kernel too, and a corrupted
+    copy is rejected."""
+    assert tower.integer_structure().split_primes(1) is None
+    g = tower.generator_element(tower.names[-1])
+    base = product_linear(4)
+    summands = [(tower.scalar(s.rational_value()),
+                 Polynomial(tower, f.nvars, {e: tower.scalar(c.rational_value())
+                                             for e, c in f.terms.items()}))
+                for s, f in base.summands]
+    form = summands[0][1]
+    summands += [(g ** 4, form), (-tower.one(), form * g)]
+    cert = _cert(tower, 4, 4, (1, 1, 1, 1), summands)
+    args = _cleared(cert)
+    assert decomp._expansion_work(*args[:3]) >= decomp.MODULAR_MIN_WORK
+    calls = []
+    integer_kernel = decomp._integer_kernel
+
+    def counted(*args):
+        calls.append(1)
+        return integer_kernel(*args)
+
+    monkeypatch.setattr(decomp, "_integer_kernel", counted)
+    assert verify(cert) is True and _modular_kernel(*args) is True and len(calls) == 2
+    assert verify(parse(corrupted(serialize(cert), random.Random(4)))) is False
+
+
+def test_towers_beyond_the_column_bound_use_the_integer_kernel(monkeypatch):
+    """u^2 = 3000 has table column norm 3001, past the int64 column bound
+    of the table kernel that evaluation replaced, which sent it to the
+    Python-int kernel: it now verifies on the modular path, and a
+    corrupted copy is rejected there."""
     tower = _sqrt_of(3000)
-    assert tower.integer_structure().column_norm == 3001
     u = tower.generator_element("u")
     # product_linear(4) with every form times u: (u l)^4 = 3000^2 l^4
     base = product_linear(4)
@@ -369,8 +469,7 @@ def test_towers_beyond_the_column_bound_use_the_integer_kernel():
     cert = _cert(tower, 4, 4, (1, 1, 1, 1), summands)
     args = _cleared(cert)
     assert decomp._expansion_work(*args[:3]) >= decomp.MODULAR_MIN_WORK
-    with pytest.raises(ValueError, match="column norm <= 2048"):
-        _modular_kernel(*args)
-    assert verify(cert) is True
     bad = parse(corrupted(serialize(cert), random.Random(3000)))
+    _integer_kernel_raises(monkeypatch)
+    assert verify(cert) is True
     assert verify(bad) is False

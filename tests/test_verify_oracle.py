@@ -293,23 +293,24 @@ TABLE_TOWERS = {
 
 @pytest.mark.parametrize("tower", TABLE_TOWERS.values(), ids=TABLE_TOWERS.keys())
 def test_every_table_row_is_the_normal_form_of_its_basis_product(tower):
-    """Over all basis pairs: row i * size + j of the table, divided by L, is
-    b_i * b_j modulo the defining polynomials (sympy's reduction), and L is
-    the lcm of the denominators of those normal forms; the norms are their
-    definitions over the table."""
+    """Over all basis pairs: ``mul`` of the unit vectors of b_i and b_j, the
+    table row T_ij, divided by L, is b_i * b_j modulo the defining
+    polynomials (sympy's reduction), and L is the lcm of the denominators of
+    those normal forms; the row norm is its definition over the table."""
     ring, sym = tower.integer_structure(), SymbolicTower(tower)
     # mixed-radix basis, first generator fastest
     basis = [tuple(reversed(e)) for e in product(*(range(d) for d in reversed(tower.degrees)))]
     n, big = len(basis), ring.denominator
     assert ring.size == n
-    dens = []
+    units = np.eye(n, dtype=int).tolist()
+    dens, norms = [], []
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
-            row = [Q(int(t), big) for t in ring.table[i * n + j]]
+            table_row = ring.mul(units[i], units[j])
+            row = [Q(t, big) for t in table_row]
             dens += [c.denominator for c in row]
+            norms.append(sum(map(abs, table_row)))
             product_ij = sym.element([(tuple(a + b for a, b in zip(bi, bj)), Q(1))])
             assert sym.is_zero(product_ij - sym.element(zip(basis, row))), (i, j)
     assert big == lcm(*dens)
-    table = np.abs(ring.table)
-    assert ring.row_norm == table.sum(axis=1).max()
-    assert ring.column_norm == table.sum(axis=0).max()
+    assert ring.row_norm == max(norms)
