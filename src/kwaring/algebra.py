@@ -20,8 +20,8 @@ table and one ``TermVocabulary``, the canonical text of each basis
 monomial's factors that printing and parsing read.  Building and printing
 elements need no table.  Each table also keeps the tower's split primes,
 where the tower mod p is a product of copies of F_p, with their evaluation
-matrices, for ``verify``'s modular kernel.  The tower is not required to be a field.  Any
-identity that reduces to zero in the quotient also holds in
+matrices, for ``verify``'s modular kernel.  The tower is not required to be
+a field.  Any identity that reduces to zero in the quotient also holds in
 the complex numbers after mapping each generator to one of its roots (such a
 map always exists, choosing roots innermost-first), which is exactly what
 certificate verification needs.
@@ -33,7 +33,6 @@ Roots of unity are adjoined through cyclotomic polynomials rather than
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -463,12 +462,6 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-def largest_primes(count: int) -> tuple:
-    """The ``count`` largest primes below ``PRIME_LIMIT``, descending."""
-    _prime(count - 1)
-    return tuple(_PRIMES[:count])
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin: bases 2, 7 and 61 decide every n < 4,759,123,141."""
     if n < 2:
@@ -498,14 +491,13 @@ def _root_tuples(tower: ExtensionTower, orders, p: int):
     at each tuple of the levels below, has ``degree`` distinct roots mod p.
     ``orders`` marks the levels that are cyclotomic polynomials.  The caller
     checks that p divides no coefficient denominator."""
-    rng = random.Random(p)
     tuples = [()]
     for gen, m in zip(tower.generators, orders):
         found, roots_of = [], {}  # a level over Q has one polynomial for all tuples
         for below in tuples:
             f = tuple(_value_mod(c, below, p) for c in gen.lower_coeffs) + (1,)
             if f not in roots_of:
-                roots_of[f] = _unity_roots(m, p) if m else _split_roots(list(f), p, rng)
+                roots_of[f] = _unity_roots(m, p) if m else _split_roots(list(f), p)
             if roots_of[f] is None:
                 return None
             found += [below + (r,) for r in roots_of[f]]
@@ -548,26 +540,27 @@ def _value_mod(c: "RingElement", roots, p: int) -> int:
 # Univariate polynomials mod p: lists of ints, ascending, as in von zur Gathen
 # and Gerhard, *Modern Computer Algebra*, ch. 14.
 
-def _split_roots(f: list, p: int, rng) -> list:
+def _split_roots(f: list, p: int) -> list:
     """The roots of the monic f mod p if it has deg f distinct ones, that is
     if f divides x^p - x, else None; found by Cantor-Zassenhaus splitting."""
     d = len(f) - 1
     if d > 1 and _powmod([0, 1], p, f, p) != [0, 1] + [0] * (d - 2):
         return None
-    return _roots(f, p, rng)
+    return _roots(f, p)
 
 
-def _roots(f: list, p: int, rng) -> list:
+def _roots(f: list, p: int) -> list:
     """The roots of a monic f that splits into distinct linear factors mod
-    p > 2: gcd(f, (x + a)^((p-1)/2) - 1) splits f for about half of all a."""
+    p > 2: gcd(f, (x + a)^((p-1)/2) - 1) splits f for about half of all a,
+    tried in turn from a = 1."""
     if len(f) == 2:
         return [-f[0] % p]
-    while True:
-        h = _powmod([rng.randrange(p), 1], (p - 1) // 2, f, p)
+    for a in range(1, p):
+        h = _powmod([a, 1], (p - 1) // 2, f, p)
         h[0] -= 1
         g = _gcd(f, h, p)
         if 2 <= len(g) < len(f):
-            return _roots(g, p, rng) + _roots(_divmod(f, g, p)[0], p, rng)
+            return _roots(g, p) + _roots(_divmod(f, g, p)[0], p)
 
 
 def _divmod(a: list, f: list, p: int):

@@ -26,8 +26,7 @@ import numpy as np
 import pytest
 
 from kwaring import decomp
-from kwaring.algebra import (EMPTY_TOWER, PRIME_LIMIT, is_prime, largest_primes,
-                             roots_of_unity_tower)
+from kwaring.algebra import EMPTY_TOWER, PRIME_LIMIT, _prime, is_prime, roots_of_unity_tower
 from kwaring.certfile import parse, serialize
 from kwaring.decomp import (
     Certificate,
@@ -319,7 +318,7 @@ def test_plain_q_grid_and_large_towers(monkeypatch):
 
 
 def test_primes_are_distinct_and_below_the_limit():
-    primes = largest_primes(40)
+    primes = [_prime(i) for i in range(40)]
     assert len(set(primes)) == 40 and all(p < PRIME_LIMIT == 2 ** 26 for p in primes)
     assert list(primes) == sorted(primes, reverse=True)
     for p in primes:
