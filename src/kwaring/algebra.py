@@ -507,13 +507,21 @@ def _root_tuples(tower: ExtensionTower, orders, p: int):
 
 def _unity_order(gen: Generator):
     """m if the generator's defining polynomial is the m-th cyclotomic
-    polynomial, else None; the m of degree phi(m) = d are at most 2 d^2."""
+    polynomial, else None.  That polynomial has integer coefficients, reads
+    the same reversed and has degree phi(m) = d, so m <= 2 d^2."""
     if not all(c.is_rational() for c in gen.lower_coeffs):
         return None
     coeffs = tuple(c.rational_value() for c in gen.lower_coeffs) + (1,)
-    return next((m for m in range(3, 2 * gen.degree ** 2 + 1)
-                 if sum(gcd(j, m) == 1 for j in range(m)) == gen.degree
-                 and cyclotomic_poly(m) == coeffs), None)
+    if coeffs != coeffs[::-1] or any(c.denominator != 1 for c in coeffs):
+        return None
+    bound = 2 * gen.degree ** 2
+    phi = list(range(bound + 1))  # Euler's totient by a sieve
+    for q in range(2, bound + 1):
+        if phi[q] == q:
+            for j in range(q, bound + 1, q):
+                phi[j] -= phi[j] // q
+    return next((m for m in range(3, bound + 1)
+                 if phi[m] == gen.degree and cyclotomic_poly(m) == coeffs), None)
 
 
 def _unity_roots(m: int, p: int):

@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kwaring import decomp
-from kwaring.algebra import EMPTY_TOWER, PRIME_LIMIT, _prime, is_prime, roots_of_unity_tower
+from kwaring import algebra, decomp
+from kwaring.algebra import (EMPTY_TOWER, PRIME_LIMIT, _prime, cyclotomic_poly, is_prime,
+                             roots_of_unity_tower)
 from kwaring.certfile import parse, serialize
 from kwaring.decomp import (
     Certificate,
@@ -418,6 +419,21 @@ def test_mul_mod_is_mul_reduced_mod_each_prime(tower):
             ex, ey, exy = ([sum(e * a for e, a in zip(row, v)) % p for row in matrix.tolist()]
                            for v in (x, y, ring.mul(x, y)))
             assert exy == [big * a * b % p for a, b in zip(ex, ey)]
+
+
+def test_cyclotomic_levels_take_the_shortcut():
+    """Every m-th cyclotomic level up to m = 60 is known by its m, whose
+    primitive roots of unity are its roots at p = 1 mod m; other levels,
+    such as u^2 = 1/6, v^3 = -2 and u^2 - 2u + 1, are split in general."""
+    for m in range(3, 61):
+        gen = EMPTY_TOWER.extend("z", cyclotomic_poly(m)).generators[0]
+        assert algebra._unity_order(gen) == m, m
+    for coeffs in [(Q(-1, 6), 0, 1), (2, 0, 0, 1), (1, -2, 1), (1, 0, 0, 0, 0, 0, 1)]:
+        assert algebra._unity_order(EMPTY_TOWER.extend("u", coeffs).generators[0]) is None
+    assert algebra._unity_roots(7, 67108859) is None  # 67108859 = 6 mod 7
+    p = next(q for q in map(_prime, range(100)) if q % 7 == 1)
+    roots = algebra._unity_roots(7, p)
+    assert len(set(roots)) == 6 and all(pow(r, 7, p) == 1 != r for r in roots)
 
 
 @pytest.mark.parametrize("tower", [_nested_cubic_tower(), EMPTY_TOWER.extend("u", (1, -2, 1))],
