@@ -295,7 +295,7 @@ class IntegerStructure:
 
     Vectors are dense sequences of ``size`` ints, one per basis monomial of
     the tower (``ExtensionTower.basis``), the numerators of a ``RingElement``
-    or the cleared values that the expansion kernels carry.  Basis products
+    or the cleared values that the verify kernel carries.  Basis products
     come from an integer structure table
 
         b_i * b_j = (1/L) * sum_k T_ijk * b_k
@@ -320,7 +320,7 @@ class IntegerStructure:
 
     def __init__(self, tower: ExtensionTower):
         self.tower = tower
-        self.size = n = len(tower.basis)
+        self.size = len(tower.basis)
         products = _basis_products(tower)
         self.denominator = big = lcm(*(c.denominator for row in products
                                        for p in row for c in p.values()))
@@ -329,14 +329,12 @@ class IntegerStructure:
         # rho = max over basis pairs (i, j) of sum_k |T_ijk|, so that
         # |mul(x, y)|_1 <= rho * |x|_1 * |y|_1 in the 1-norm
         self.row_norm = max(sum(abs(t) for _, t in row) for row in rows)
-        self.zero = [0] * n
-        self.one = [1] + [0] * (n - 1)
         # every denominator that a split prime must not divide
         self._denominators = big * prod(c.denominator for g in tower.generators
                                         for c in g.lower_coeffs)
         self._split: list = []  # (p, evaluation matrix) per split prime found
         self._tried = 0  # candidate primes examined
-        self._orders = None  # per level, m if it is the m-th cyclotomic polynomial
+        self._orders = [_unity_order(g) for g in tower.generators]  # m per level Phi_m, or None
 
     @staticmethod
     def clear(elements):
@@ -364,10 +362,6 @@ class IntegerStructure:
         return out
 
     @staticmethod
-    def add(x, y):
-        return [a + b for a, b in zip(x, y)]
-
-    @staticmethod
     def scale(x, c: int):
         return [c * a for a in x]
 
@@ -378,17 +372,23 @@ class IntegerStructure:
         """The ``count`` largest split primes of the tower, each with its
         evaluation matrix mod p as int64, row r holding every basis monomial
         at the r-th root tuple; None when the ``SPLIT_SEARCH`` largest primes
-        hold fewer, as for an inseparable tower.  The primes found so far are
-        kept, and the search goes on from the last one tried."""
-        if self._orders is None:
-            self._orders = [_unity_order(g) for g in self.tower.generators]
+        hold fewer.  The primes found so far are kept, and the search goes on
+        from the last one tried.  It ends at the first prime where a level
+        has a repeated root mod p, gcd(f, f') != 1, as u^2 - 2u + 1 has at
+        every prime; a separable tower has one only at primes dividing a
+        discriminant of a level, and a wrong stop there only sends its
+        certificates to ``verify``'s exact fallback."""
         while len(self._split) < count:
             if self._tried == SPLIT_SEARCH:
                 return None
             p = _prime(self._tried)
             self._tried += 1
-            points = (None if self._denominators % p == 0
-                      else _root_tuples(self.tower, self._orders, p))
+            try:
+                points = (None if self._denominators % p == 0
+                          else _root_tuples(self.tower, self._orders, p))
+            except _RepeatedRoot:
+                self._tried = SPLIT_SEARCH
+                return None
             if points is not None:
                 degrees, basis = self.tower.degrees, self.tower.basis
                 matrix = []
@@ -548,11 +548,18 @@ def _value_mod(c: "RingElement", roots, p: int) -> int:
 # Univariate polynomials mod p: lists of ints, ascending, as in von zur Gathen
 # and Gerhard, *Modern Computer Algebra*, ch. 14.
 
+class _RepeatedRoot(Exception):
+    """A defining polynomial has a repeated root mod p."""
+
+
 def _split_roots(f: list, p: int) -> list:
     """The roots of the monic f mod p if it has deg f distinct ones, that is
-    if f divides x^p - x, else None; found by Cantor-Zassenhaus splitting."""
+    if f divides x^p - x, else None; found by Cantor-Zassenhaus splitting.
+    Raises ``_RepeatedRoot`` if gcd(f, f') != 1 mod p (p > deg f)."""
     d = len(f) - 1
     if d > 1 and _powmod([0, 1], p, f, p) != [0, 1] + [0] * (d - 2):
+        if len(_gcd(f, [i * c for i, c in enumerate(f)][1:], p)) > 1:
+            raise _RepeatedRoot
         return None
     return _roots(f, p)
 

@@ -9,14 +9,15 @@ c_j scalars, everything over one extension tower; a scalar given as a
 rational is stored as that element of the tower.  ``verify`` re-expands the
 right side exactly, never in floating point: a tower element already is an
 integer vector over one denominator (``[n]`` over Q), so clearing a form or
-a scalar takes an lcm and a scale.  Small expansions run in Python ints.
-Large ones run in numpy int64 modulo primes just below 2^26 at which the
-tower splits, whose product exceeds a certified bound H on every
-coefficient of the difference.  At such a prime the tower's elements are
-their values at its n root tuples mod p, so tower products are elementwise,
-and a difference that vanishes modulo every prime vanishes exactly.  Either
-way a True verdict proves the identity.  No construction in this module
-returns an unverified certificate.
+a scalar takes an lcm and a scale.  The expansion runs in numpy int64
+modulo primes just below 2^26 at which the tower splits, whose product
+exceeds a certified bound H on every coefficient of the difference.  At
+such a prime the tower's elements are their values at its n root tuples
+mod p, so tower products are elementwise, and a difference that vanishes
+modulo every prime vanishes exactly.  A tower with no split prime, as one
+with a repeated root, is expanded in its own exact arithmetic instead.
+Either way a True verdict proves the identity.  No construction in this
+module returns an unverified certificate.
 
 The constructions:
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, product as iproduct
-from math import comb, factorial, lcm, prod
+from math import factorial, lcm, prod
 from operator import add
 from typing import NamedTuple
 
@@ -119,28 +120,16 @@ def verify(cert: Certificate) -> bool:
     identity is proven exactly.
 
     Each summand's form and scalar are brought to integer vectors (of length
-    1 over Q) over their least common denominators D and D_s by scaling the
-    elements' numerators, and the summands are brought to one common
-    denominator.  Small expansions run in Python ints (``_integer_kernel``).
-    From ``MODULAR_MIN_WORK`` on, the expansion runs in numpy int64 modulo
-    primes at which the tower splits, whose product exceeds a certified
-    bound on every coefficient of the difference (``_modular_kernel``): at
-    such a prime, evaluation at the tower's root tuples mod p is a ring
-    isomorphism, so every tower product is elementwise, and a zero residue
-    there is a zero coefficient as well.  A tower with too few split primes
-    among the ``algebra.SPLIT_SEARCH`` largest below 2^26, as an inseparable
-    one, is expanded in Python ints at any size.  The modular kernel splits
-    each form's t terms into two halves and sums the products of the
-    halves' assignments over the summands, so each leaf of the expansion
-    takes k powers, h - 1 and t - h - 1 half products (h = t // 2) and one
-    cross product, whatever the number of summands.
+    1 over Q) over their least common denominators by scaling the elements'
+    numerators (``_cleared``), and the expansion runs modulo split primes of
+    the tower (``_modular_kernel``).  A tower with too few split primes
+    among the ``algebra.SPLIT_SEARCH`` largest below 2^26, as one with a
+    repeated root, is expanded in its own ``Polynomial`` arithmetic instead
+    (``_expanded``), which is exact but slower.
     """
-    args = _cleared(cert)
-    ring, parts, k, _ = args
-    if _expansion_work(ring, parts, k) >= MODULAR_MIN_WORK:
-        ok = _modular_kernel(*args)
-    else:
-        ok = _integer_kernel(*args)
+    ok = _modular_kernel(*_cleared(cert))
+    if ok is None:
+        ok = _expanded(cert)
     cert.verified = ok
     return ok
 
@@ -180,105 +169,28 @@ def _cleared(cert: Certificate):
     return ring, parts, k, cert.target.exponents
 
 
-# The modular kernel takes an expansion from this ``_expansion_work`` on.
-# Below it numpy's fixed cost per call can outweigh the Python-int kernel.
-# Over the decompose sweep, the criterion-02 grid and product_linear(2..7)
-# (2-CPU Xeon VM, Python 3.11, numpy 2.4), the largest expansion on which
-# the Python-int kernel was faster has work 612 (the three-cube certificate
-# for x0^4 x1 x2 and its transforms, tower size 6); on every certificate
-# from 960 on, the modular kernel was faster.
-MODULAR_MIN_WORK = 768
+def _expanded(cert: Certificate) -> bool:
+    """Whether sum_j c_j G_j^k equals the target in the tower's own exact
+    ``Polynomial`` arithmetic: the check for a tower without split primes."""
+    total = Polynomial.zero(cert.tower, len(cert.variables))
+    for scalar, form in cert.summands:
+        total = total + form ** cert.k * scalar
+    return total == cert.target.to_polynomial(cert.tower)
+
+
 # Size of the modular kernel's largest temporary arrays.
 BLOCK_BYTES = 1 << 18
 
 
-def _expansion_work(ring, parts, k: int) -> int:
-    """Size estimate of an expansion: leaves * terms * size^2 summed over the
-    summands, about the work of the tower products the Python-int kernel
-    forms.  The modular kernel forms far fewer; this is the size that
-    ``MODULAR_MIN_WORK`` is measured in."""
-    return ring.size ** 2 * sum(
-        comb(k + len(p[0]) - 1, k) * len(p[0]) for p in parts
-    )
-
-
-def _integer_kernel(ring, parts, k: int, target) -> bool:
-    """Verdict of ``_integer_difference``: every coefficient is zero."""
-    return all(v == ring.zero for v in _integer_difference(ring, parts, k, target).values())
-
-
-def _integer_difference(ring, parts, k: int, target) -> dict:
-    """The expansion minus the target, exactly, in Python ints.
-
-    G^k is expanded multinomially over the tower's integer structure table
-    (common denominator L), so every contribution of a summand carries the
-    one denominator L^k * D^k * D_s and no gcd is taken.  Returns
-    {monomial: integer vector} over the common denominator of the summands.
-    """
-    dens = [(ring.denominator * den) ** k * den_s for _, _, den, _, den_s in parts]
-    common = lcm(*dens)
-    plans: dict = {}
-    total: dict = {}
-    for (support, coeffs, _, s, _), den in zip(parts, dens):
-        plan = plans.get(support)
-        if plan is None:
-            plan = plans[support] = _expansion_plan(support, k)
-        monomials, leaves = plan
-        s = ring.scale(s, common // den)
-        for mono, v in zip(monomials, _expand(ring, leaves, len(monomials), coeffs, k)):
-            v = ring.mul(s, v)
-            prev = total.get(mono)
-            total[mono] = v if prev is None else ring.add(prev, v)
-    total[target] = ring.add(total.get(target, ring.zero), ring.scale(ring.one, -common))
-    return total
-
-
-def _expansion_plan(support: tuple, k: int):
-    """The multinomial expansion of (sum_t c_t x^(e_t))^k for one support.
-
-    Returns the distinct output monomials and one leaf per exponent
-    assignment (b_t): the indices of the powers c_t^(b_t) in the flat table
-    built by ``_expand``, the output monomial's index and the multinomial
-    coefficient.  Summands with the same support share it.
-    """
-    nv = len(support[0])
-    monomials: dict = {}
-    leaves = []
-    _, counts, multinomials = multinomial_table(len(support), k)
-    for bs, multi in zip(counts.tolist(), multinomials):
-        mono = tuple(sum(b * e[v] for b, e in zip(bs, support)) for v in range(nv))
-        out = monomials.setdefault(mono, len(monomials))
-        factors = tuple(t * (k + 1) + b for t, b in enumerate(bs) if b)
-        leaves.append((factors, out, multi))
-    return tuple(monomials), leaves
-
-
-def _expand(ring, leaves, nout: int, coeffs, k: int) -> list:
-    """Per output monomial, the sum of its leaves' multinomial * prod c_t^(b_t).
-
-    Every leaf multiplies k unit factors, so all sums carry L^(k-1)."""
-    mul, add, scale, product = ring.mul, ring.add, ring.scale, ring.product
-    powers = []
-    for c in coeffs:
-        row = [None, c]
-        for _ in range(k - 1):
-            row.append(mul(row[-1], c))
-        powers.extend(row)
-    sums = [ring.zero] * nout
-    for factors, out, multi in leaves:
-        sums[out] = add(sums[out], scale(product([powers[i] for i in factors]), multi))
-    return sums
-
-
-def _modular_kernel(ring, parts, k: int, target) -> bool:
-    """The expansion minus the target, modulo split primes, in numpy int64.
+def _modular_kernel(ring, parts, k: int, target):
+    """Whether the expansion minus the target vanishes, decided modulo split
+    primes in numpy int64; None for a tower with too few split primes.
 
     The primes are the fewest of the tower's split primes whose product
     exceeds ``_height_bound`` (``IntegerStructure.split_primes``, which
-    brings each one's evaluation matrix); a tower with too few goes to
-    ``_integer_kernel`` instead.  Every cleared coefficient and scalar is
-    mapped once, mod each prime, to its values at the tower's n root
-    tuples, and from there every tower product is elementwise.
+    brings each one's evaluation matrix).  Every cleared coefficient and
+    scalar is mapped once, mod each prime, to its values at the tower's n
+    root tuples, and from there every tower product is elementwise.
 
     Summands are grouped by support.  The scalar enters as the zeroth power
     of the first term, ``pw[0] = s``, the others start at ``pw[0] = 1``, and
@@ -291,10 +203,10 @@ def _modular_kernel(ring, parts, k: int, target) -> bool:
     over the summands (``_leaf_sums``).  Leaves are multiplied by their
     multinomials, and all are grouped by output monomial with one sort.
 
-    Why a zero result is a proof.  The Python-int product ``mul`` returns
-    L*x*y, and the exact difference X that ``_height_bound`` bounds is the
-    one whose leaves take k + t - 1 such products, each summand's scalar
-    scaled to the common denominator of ``_modular_denominators``.  At a
+    Why a zero result is a proof.  The integer structure's product ``mul``
+    returns L*x*y, and the exact difference X that ``_height_bound`` bounds
+    is the one whose leaves take k + t - 1 such products, each summand's
+    scalar scaled to the common denominator of ``_modular_denominators``.  At a
     split prime p (dividing neither L nor a coefficient denominator),
     evaluation at the n root tuples is a ring isomorphism from (Z/p)[tower]
     to F_p^n, so it maps L*x*y to L * x(r) * y(r) at every tuple r: scaling
@@ -306,7 +218,7 @@ def _modular_kernel(ring, parts, k: int, target) -> bool:
     """
     split = _split_primes_above(ring, _height_bound(ring, parts, k))
     if split is None:
-        return _integer_kernel(ring, parts, k, target)
+        return None
     primes, moduli, points = split
     n, m = ring.size, len(primes)
     dens, common = _modular_denominators(ring, parts, k)
@@ -448,8 +360,9 @@ class _SplitPlan(NamedTuple):
 
 
 # Plans, output plans, multinomial residues and prime arrays kept, one per
-# (t, k), (supports, k), (t, k, primes) and (tower, number of primes).
-PLAN_CACHE_SIZE = 64
+# (t, k), (supports, k), (t, k, primes) and (tower, number of primes).  Output
+# plans have the most keys, 100-104 in a decompose-sweep run (seeds 1-13).
+PLAN_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

@@ -53,14 +53,23 @@ def test_sweep_decomposes_and_reproduces_the_pinned_digest():
 
 
 if __name__ == "__main__":
-    # PYTHONPATH=src python tests/test_sweep.py DIR writes every sweep
-    # certificate to DIR, for the reference checker (tests/refcheck.py)
+    # PYTHONPATH=src python tests/test_sweep.py DIR [BAD] writes every sweep
+    # certificate to DIR and, given BAD, a seeded single-digit corruption of
+    # each to BAD, for the reference checker (tests/refcheck.py)
+    import random
     import sys
     from pathlib import Path
 
+    from test_verify_kernels import corrupted
+
     out = Path(sys.argv[1])
-    out.mkdir(parents=True, exist_ok=True)
+    bad = Path(sys.argv[2]) if len(sys.argv) > 2 else None
+    rng = random.Random(515)
+    for directory in filter(None, (out, bad)):
+        directory.mkdir(parents=True, exist_ok=True)
     for k, exps in sweep():
-        cert = decompose(KInstance(Monomial(exps), k))
+        text = serialize(decompose(KInstance(Monomial(exps), k)))
         name = f"k{k}_{'-'.join(map(str, exps))}.cert"
-        (out / name).write_text(serialize(cert), encoding="utf-8")
+        (out / name).write_text(text, encoding="utf-8")
+        if bad:
+            (bad / name).write_text(corrupted(text, rng), encoding="utf-8")

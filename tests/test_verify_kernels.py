@@ -1,20 +1,22 @@
-"""The two expansion kernels behind ``verify`` against each other.
+"""``verify``'s modular kernel against independent references.
 
-``_integer_kernel`` expands in Python ints; ``_modular_kernel`` expands in
-numpy int64 modulo primes at which the tower splits, whose product exceeds
-``_height_bound``.  They must give the same verdict on every certificate of
-the decompose sweep, on the golden files and on a seeded single-digit
-corruption of each golden file, and the height bound must dominate every
-coefficient of the exact difference that the integer kernel computes.  At a
-split prime, evaluation at the tower's root tuples must map ``mul(x, y)``,
+``_modular_kernel`` expands in numpy int64 modulo primes at which the tower
+splits, whose product exceeds ``_height_bound``; a tower without split
+primes goes to ``_expanded``, the expansion in the tower's own exact
+``Polynomial`` arithmetic.  The modular kernel must agree with that
+fallback and with the reference checker ``tests/refcheck.py`` on the sweep
+certificates that small expansions once took elsewhere, on the golden files
+and on a seeded single-digit corruption of each, and the height bound must
+dominate every coefficient of the exact difference of each corruption.  At
+a split prime, evaluation at the tower's root tuples must map ``mul(x, y)``,
 which is L*x*y, to L times the pointwise product, through an invertible
-evaluation matrix; a tower without split primes falls back to the integer
-kernel.  The modular kernel splits each support's terms into two halves and
-sums the products of their assignments over the summands, so a leaf takes
-one cross product; its edge cases (one term, odd term counts, mixed
-supports, a support group too large for one int64 accumulation) and its
-product count are pinned here.  The sympy oracle runs both kernels too
-(``tests/test_verify_oracle.py``).
+evaluation matrix; a tower with a repeated root ends its prime search early
+and goes to the fallback.  The modular kernel splits each support's terms
+into two halves and sums the products of their assignments over the
+summands, so a leaf takes one cross product; its edge cases (one term, odd
+term counts, mixed supports, a support group too large for one int64
+accumulation) and its product count are pinned here.  The sympy oracle
+runs the kernel and the fallback too (``tests/test_verify_oracle.py``).
 """
 
 import random
@@ -32,9 +34,7 @@ from kwaring.certfile import parse, serialize
 from kwaring.decomp import (
     Certificate,
     _cleared,
-    _height_bound,
-    _integer_difference,
-    _integer_kernel,
+    _expanded,
     _modular_kernel,
     _split_plan,
     decompose,
@@ -46,6 +46,7 @@ from kwaring.polynomials import Monomial, Polynomial, multinomial_table
 from kwaring.rank import KInstance
 from kwaring.rationals import Q
 
+import refcheck
 from test_sweep import sweep
 from test_verify_oracle import (
     TABLE_TOWERS,
@@ -53,6 +54,7 @@ from test_verify_oracle import (
     _nested_tower,
     _sqrt_tower,
     _two_sqrt_tower,
+    assert_height_bounds,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -81,19 +83,51 @@ def corrupted(text: str, rng) -> str:
             pass
 
 
-def assert_kernels_agree(cert) -> bool:
-    args = _cleared(cert)
-    verdict = _integer_kernel(*args)
-    assert _modular_kernel(*args) is verdict
-    diff = _integer_difference(*args)
-    largest = max(abs(a) for v in diff.values() for a in v)
-    assert _height_bound(*args[:3]) >= largest
-    return verdict
+def spy_on_the_fallback(monkeypatch) -> list:
+    """Record every certificate that ``verify`` sends to ``_expanded`` in
+    the returned list."""
+    calls = []
+    expanded = decomp._expanded
+
+    def counted(cert):
+        calls.append(cert)
+        return expanded(cert)
+
+    monkeypatch.setattr(decomp, "_expanded", counted)
+    return calls
+
+
+def assert_agree(text: str, expected: bool):
+    """The modular kernel, the fallback and the reference checker all give
+    ``expected`` on a certificate file; a false one's exact difference is
+    within the height bound."""
+    cert = parse(text)
+    assert _modular_kernel(*_cleared(cert)) is expected
+    assert _expanded(cert) is expected
+    assert refcheck.check(text) is expected
+    if not expected:
+        assert_height_bounds(cert)
+
+
+def _expansion_work(cert) -> int:
+    """leaves * terms * size^2 summed over the summands: below 768, the
+    certificates that a Python-int kernel took before the modular kernel
+    took every size."""
+    ring, parts, k, _ = _cleared(cert)
+    return ring.size ** 2 * sum(comb(k + len(p[0]) - 1, k) * len(p[0]) for p in parts)
 
 
 def test_kernels_agree_on_the_sweep():
-    for k, exps in sweep():
-        assert assert_kernels_agree(decompose(KInstance(Monomial(exps), k))), (k, exps)
+    """The 103 sweep certificates of expansion work below 768 and a seeded
+    single-digit corruption of each."""
+    rng = random.Random(103)
+    certs = [decompose(KInstance(Monomial(exps), k)) for k, exps in sweep()]
+    small = [cert for cert in certs if _expansion_work(cert) < 768]
+    assert len(small) == 103
+    for cert in small:
+        text = serialize(cert)
+        assert_agree(text, True)
+        assert_agree(corrupted(text, rng), False)
 
 
 def test_kernels_agree_on_golden_files_and_their_corruptions():
@@ -102,8 +136,22 @@ def test_kernels_agree_on_golden_files_and_their_corruptions():
     assert len(paths) == 16
     for path in paths:
         text = path.read_text(encoding="utf-8")
-        assert assert_kernels_agree(parse(text)) is True, path.name
-        assert assert_kernels_agree(parse(corrupted(text, rng))) is False, path.name
+        assert_agree(text, True)
+        assert_agree(corrupted(text, rng), False)
+
+
+def test_the_forced_fallback_accepts_golden_files_and_rejects_corruptions(monkeypatch):
+    """With every tower reporting no split primes, ``verify`` takes the
+    fallback on each golden file and on a seeded corruption of each."""
+    rng = random.Random(16)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDEN_DIR.glob("*.cert"))]
+    bad = [parse(corrupted(text, rng)) for text in texts]
+    monkeypatch.setattr(algebra.IntegerStructure, "split_primes", lambda self, count: None)
+    calls = spy_on_the_fallback(monkeypatch)
+    for text, wrong in zip(texts, bad):
+        assert verify(parse(text)) is True
+        assert verify(wrong) is False
+    assert len(calls) == 2 * len(texts) == 32
 
 
 def _cert(tower, nv, k, target, summands):
@@ -112,8 +160,7 @@ def _cert(tower, nv, k, target, summands):
 
 
 def _both(cert):
-    args = _cleared(cert)
-    return _integer_kernel(*args), _modular_kernel(*args)
+    return _expanded(cert), _modular_kernel(*_cleared(cert))
 
 
 def test_modular_edge_cases():
@@ -190,6 +237,8 @@ def _polarized_product():
         "Q", "size 2", "cyclotomic size 4", "two square roots, size 4", "nested, size 4",
         "u^2 = 2047, at the column bound"])
 def test_split_kernel_agrees_with_the_integer_kernel(build):
+    """The modular kernel against the exact fallback (the Python-int kernel
+    this test's name recalls is gone; the ids are kept)."""
     cert = build()
     assert _both(cert) == (True, True)
     assert _both(_rescaled(cert, 2)) == (False, False)
@@ -205,18 +254,18 @@ def test_a_support_group_beyond_one_int64_accumulation():
     cert = _cert(t, 2, 2, (1, 1), summands)
     assert len({tuple(sorted(f.terms)) for _, f in cert.summands}) == 1
     assert len(cert.summands) > decomp._MAX_TERMS
-    assert decomp._expansion_work(*_cleared(cert)[:3]) >= decomp.MODULAR_MIN_WORK
     assert _both(cert) == (True, True)
     assert _both(_rescaled(cert, Q(1051, 1050))) == (False, False)
 
 
 def test_small_blocks_give_the_same_verdicts(monkeypatch):
     """With a tiny ``BLOCK_BYTES`` the summands go in many blocks; the
-    verdicts do not move."""
+    verdicts do not move: each true identity holds, and with its first
+    scalar doubled it fails."""
     monkeypatch.setattr(decomp, "BLOCK_BYTES", 1 << 10)
     for cert in (monomial_linear_decomp((1, 2, 3, 3)), product_linear(6), _polarized_product()):
-        assert _both(cert) == (True, True)
-        assert _both(_rescaled(cert, 2)) == (False, False)
+        assert _modular_kernel(*_cleared(cert)) is True
+        assert _modular_kernel(*_cleared(_rescaled(cert, 2))) is False
 
 
 def test_int64_sums_are_reduced_between_blocks():
@@ -293,11 +342,11 @@ def test_each_leaf_reaches_the_table_once(monkeypatch):
     assert members * (t * k + halves + leaves) < members * (t * k + (t - 1) * leaves)
 
 
-def _integer_kernel_raises(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the Python-int kernel ran")
+def _fallback_raises(monkeypatch):
+    def refuse(cert):
+        raise AssertionError("the exact fallback ran")
 
-    monkeypatch.setattr(decomp, "_integer_kernel", refuse)
+    monkeypatch.setattr(decomp, "_expanded", refuse)
 
 
 def test_plain_q_grid_and_large_towers(monkeypatch):
@@ -307,13 +356,10 @@ def test_plain_q_grid_and_large_towers(monkeypatch):
     z0, z1 = (Polynomial.variable(big, 2, j) for j in range(2))
     large = _cert(big, 2, 2, (1, 1), [(big.scalar(Q(1, 4)), z0 + z1),
                                       (big.scalar(Q(-1, 4)), z0 - z1)])
-    # built (and verified) before the integer kernel is patched out
     certs = [monomial_linear_decomp((1, 1, 1, 1)), monomial_linear_decomp((1, 2, 4, 6)), large]
-    _integer_kernel_raises(monkeypatch)
+    _fallback_raises(monkeypatch)
     for cert, size in zip(certs, (1, 48, 144)):
-        args = _cleared(cert)
-        assert args[0].size == size
-        assert decomp._expansion_work(*args[:3]) >= decomp.MODULAR_MIN_WORK
+        assert _cleared(cert)[0].size == size
         assert verify(cert) is True
         assert verify(_rescaled(cert, 2)) is False
 
@@ -341,8 +387,6 @@ def test_split_primes_cover_the_height(tower):
 
 def test_verify_memory_stays_bounded():
     cert = monomial_linear_decomp((1, 2, 3, 3))
-    args = _cleared(cert)
-    assert decomp._expansion_work(*args[:3]) >= decomp.MODULAR_MIN_WORK
     verify(cert)
     tracemalloc.start()
     try:
@@ -436,13 +480,18 @@ def test_cyclotomic_levels_take_the_shortcut():
     assert len(set(roots)) == 6 and all(pow(r, 7, p) == 1 != r for r in roots)
 
 
-@pytest.mark.parametrize("tower", [_nested_cubic_tower(), EMPTY_TOWER.extend("u", (1, -2, 1))],
-                         ids=["nested-cubic, w^3 - (u/3) w^2", "u^2 - 2u + 1"])
-def test_inseparable_towers_use_the_integer_kernel(tower, monkeypatch):
+INSEPARABLE = {
+    "nested-cubic": _nested_cubic_tower(),  # w^3 - (u/3) w^2
+    "u^2 - 2u + 1": EMPTY_TOWER.extend("u", (1, -2, 1)),
+}
+
+
+@pytest.mark.parametrize("tower", INSEPARABLE.values(), ids=INSEPARABLE.keys())
+def test_inseparable_towers_use_the_exact_fallback(tower, monkeypatch):
     """A tower with a repeated root has no split prime: product_linear(4)
-    with a cancelling pair in the repeated generator goes to the
-    Python-int kernel, through the modular kernel too, and a corrupted
-    copy is rejected."""
+    with a cancelling pair in the repeated generator goes to ``_expanded``
+    (the modular kernel returns None), and a corrupted copy is rejected
+    there and by the reference checker."""
     assert tower.integer_structure().split_primes(1) is None
     g = tower.generator_element(tower.names[-1])
     base = product_linear(4)
@@ -453,18 +502,33 @@ def test_inseparable_towers_use_the_integer_kernel(tower, monkeypatch):
     form = summands[0][1]
     summands += [(g ** 4, form), (-tower.one(), form * g)]
     cert = _cert(tower, 4, 4, (1, 1, 1, 1), summands)
-    args = _cleared(cert)
-    assert decomp._expansion_work(*args[:3]) >= decomp.MODULAR_MIN_WORK
-    calls = []
-    integer_kernel = decomp._integer_kernel
+    bad = corrupted(serialize(cert), random.Random(4))
+    assert _modular_kernel(*_cleared(cert)) is None
+    calls = spy_on_the_fallback(monkeypatch)
+    assert verify(cert) is True and len(calls) == 1
+    assert verify(parse(bad)) is False and len(calls) == 2
+    assert refcheck.check(bad) is False
 
-    def counted(*args):
-        calls.append(1)
-        return integer_kernel(*args)
 
-    monkeypatch.setattr(decomp, "_integer_kernel", counted)
-    assert verify(cert) is True and _modular_kernel(*args) is True and len(calls) == 2
-    assert verify(parse(corrupted(serialize(cert), random.Random(4)))) is False
+@pytest.mark.parametrize("tower, candidates", zip(INSEPARABLE.values(), (4, 1)),
+                         ids=INSEPARABLE.keys())
+def test_a_repeated_root_ends_the_prime_search(tower, candidates, monkeypatch):
+    """The search stops at the first prime where a level has a repeated
+    root, gcd(f, f') != 1 mod p, instead of trying all ``SPLIT_SEARCH``
+    candidates, and later calls do not search again: u^2 - 2u + 1 stops at
+    the first prime, the nested cubic tower at the first where u^2 = 1/2
+    splits, the fourth."""
+    tried = []
+    root_tuples = algebra._root_tuples
+
+    def counted(tower, orders, p):
+        tried.append(p)
+        return root_tuples(tower, orders, p)
+
+    monkeypatch.setattr(algebra, "_root_tuples", counted)
+    ring = algebra.IntegerStructure(tower)  # a fresh search
+    assert ring.split_primes(1) is None and ring.split_primes(1) is None
+    assert tried == [_prime(i) for i in range(candidates)]
 
 
 def test_towers_beyond_the_column_bound_use_the_integer_kernel(monkeypatch):
@@ -482,9 +546,7 @@ def test_towers_beyond_the_column_bound_use_the_integer_kernel(monkeypatch):
         for s, f in base.summands
     ]
     cert = _cert(tower, 4, 4, (1, 1, 1, 1), summands)
-    args = _cleared(cert)
-    assert decomp._expansion_work(*args[:3]) >= decomp.MODULAR_MIN_WORK
     bad = parse(corrupted(serialize(cert), random.Random(3000)))
-    _integer_kernel_raises(monkeypatch)
+    _fallback_raises(monkeypatch)
     assert verify(cert) is True
     assert verify(bad) is False

@@ -12,8 +12,9 @@ a diagonal change of variables and by cancelling pairs
 (c * lam^k, G), (-c, lam * G) with random tower elements lam; random
 certificates that are almost always false; and single-coefficient
 corruptions of the true ones, which must return False and never raise.
-Each certificate goes through ``verify`` and through both of its expansion
-kernels, called directly.
+Each certificate goes through ``verify``, through its modular kernel called
+directly and through the exact fallback that ``verify`` takes for a tower
+without split primes.
 """
 
 import random
@@ -28,7 +29,9 @@ from kwaring.algebra import EMPTY_TOWER, roots_of_unity_tower
 from kwaring.decomp import (
     Certificate,
     _cleared,
-    _integer_kernel,
+    _expanded,
+    _height_bound,
+    _modular_denominators,
     _modular_kernel,
     decompose,
     monomial_linear_decomp,
@@ -84,11 +87,29 @@ def oracle(cert: Certificate) -> bool:
     return sym.is_zero(expr, *xs)
 
 
-KERNELS = (
-    verify,
-    lambda cert: _integer_kernel(*_cleared(cert)),
-    lambda cert: _modular_kernel(*_cleared(cert)),
-)
+def verdicts(cert) -> set:
+    """The verdicts of ``verify``, of its modular kernel called directly and
+    of its exact fallback.  The modular kernel returns None, and is left
+    out, on the nested cubic tower alone, which has no split prime."""
+    modular = _modular_kernel(*_cleared(cert))
+    assert (modular is None) == (cert.tower == _nested_cubic_tower())
+    return {verify(cert), _expanded(cert)} | ({modular} - {None})
+
+
+def assert_height_bounds(cert):
+    """``_height_bound`` dominates every coordinate of the exact difference
+    that the modular kernel reduces, common * (sum_j s_j G_j^k - M) with
+    common its summands' common denominator, an integer vector; the
+    difference is expanded in the tower's ``Polynomial`` arithmetic."""
+    ring, parts, k, _ = _cleared(cert)
+    _, common = _modular_denominators(ring, parts, k)
+    difference = -cert.target.to_polynomial(cert.tower)
+    for scalar, form in cert.summands:
+        difference = difference + form ** k * scalar
+    coords = [Q(a * common, c.denominator) for c in difference.terms.values()
+              for a in c.numerators]
+    assert all(x.denominator == 1 for x in coords)
+    assert _height_bound(ring, parts, k) >= max(map(abs, coords), default=0)
 
 
 def _rational(rng):
@@ -219,9 +240,9 @@ def corruptions(name: str, seed: int) -> list:
 def test_true_identities_and_their_corruptions(name, seed):
     for variant, bad in corruptions(name, seed):
         assert oracle(variant) is True and oracle(bad) is False
-        for check in KERNELS:
-            assert check(variant) is True
-            assert check(bad) is False
+        assert verdicts(variant) == {True}
+        assert verdicts(bad) == {False}
+        assert_height_bounds(bad)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +263,9 @@ def test_random_certificates_agree_with_the_oracle(tower):
         cert = Certificate(tuple(f"x{i}" for i in range(nv)), k, Monomial(tuple(exps)),
                            tower, tuple(summands))
         expected = oracle(cert)
-        assert all(check(cert) is expected for check in KERNELS)
+        assert verdicts(cert) == {expected}
+        if not expected:
+            assert_height_bounds(cert)
 
 
 def test_structure_table_matches_normal_form_products():
