@@ -245,7 +245,7 @@ class ExtensionTower:
                 e = tuple(a - b for a, b in zip(e, chunk))
                 units.append([int(f == chunk) for f in self.basis])
             c *= Q(1, ring.denominator ** (len(units) - 1))
-            pieces.append((c, dict(zip(self.basis, ring.product(units)))))
+            pieces.append((c, dict(zip(self.basis, reduce(ring.mul, units)))))
         return _combine(pieces)
 
     def integer_structure(self) -> "IntegerStructure":
@@ -316,6 +316,8 @@ class IntegerStructure:
     mod p.  The n root tuples then make evaluation a ring isomorphism from
     (Z/p)[tower] to F_p^n (the Chinese remainder theorem, level by level),
     given by the (n, n) evaluation matrix that each split prime comes with.
+    ``split_primes_above`` keeps the fewest that ``verify`` needs, with their
+    matrices stacked, so they live as long as the structure and its tower.
     """
 
     def __init__(self, tower: ExtensionTower):
@@ -333,6 +335,7 @@ class IntegerStructure:
         self._denominators = big * prod(c.denominator for g in tower.generators
                                         for c in g.lower_coeffs)
         self._split: list = []  # (p, evaluation matrix) per split prime found
+        self._arrays: dict = {}  # prime count -> split_primes_above's arrays
         self._tried = 0  # candidate primes examined
         self._orders = [_unity_order(g) for g in tower.generators]  # m per level Phi_m, or None
 
@@ -360,13 +363,6 @@ class IntegerStructure:
                     for k, t in rows[base + j]:
                         out[k] += ab * t
         return out
-
-    @staticmethod
-    def scale(x, c: int):
-        return [c * a for a in x]
-
-    def product(self, factors):
-        return reduce(self.mul, factors)
 
     def split_primes(self, count: int):
         """The ``count`` largest split primes of the tower, each with its
@@ -398,6 +394,23 @@ class IntegerStructure:
                                    for exps in basis])
                 self._split.append((p, np.array(matrix, dtype=np.int64)))
         return self._split[:count]
+
+    def split_primes_above(self, height: int):
+        """The fewest of the tower's largest split primes whose product
+        exceeds height, as (primes, moduli of shape (primes, 1), transposed
+        evaluation matrices stacked, or None over Q), kept per prime count;
+        None when the tower has too few."""
+        count = max(1, -(-height.bit_length() // 26))
+        while (split := self.split_primes(count)) is not None:
+            primes = tuple(p for p, _ in split)
+            if prod(primes) > height:
+                if count not in self._arrays:
+                    self._arrays[count] = (
+                        primes, np.array(primes, dtype=np.int64).reshape(count, 1),
+                        None if self.size == 1 else np.stack([m.T for _, m in split]))
+                return self._arrays[count]
+            count += 1
+        return None
 
 
 def _basis_products(tower: ExtensionTower) -> list:

@@ -2,7 +2,8 @@
 
 Exit codes separate four situations:
     0  success (rank printed, certificate verified, search converged)
-    1  mathematical falsity (verification failed, search did not converge)
+    1  mathematical falsity (verification failed, search did not converge,
+       or it converged with fewer summands than classify's lower bound)
     2  usage, parse, or I/O errors
     3  internal invariant breach (a freshly built certificate failed to verify)
 
@@ -117,6 +118,19 @@ def _seed(flag) -> int:
     return seed
 
 
+def _refuted(monomial: Monomial, k: int, s: int) -> bool:
+    """Whether classify proves the rank above s, so that a converged search
+    claims a decomposition that does not exist; if so, one stderr line
+    names the rule and its bound."""
+    bounds = classify(KInstance(monomial, k))
+    if s >= bounds.lower:
+        return False
+    rule = next(r.rule for r in bounds.trace if r.kind != "upper" and r.bound == bounds.lower)
+    print(f"search: converged with {s} summands, but {rule} proves rank >= {bounds.lower}",
+          file=sys.stderr)
+    return True
+
+
 def _cmd_search(args) -> int:
     seed = _seed(args.seed)
     monomial = parse_monomial(args.monomial)
@@ -131,17 +145,17 @@ def _cmd_search(args) -> int:
             "converged": result.converged,
             "restart_records": [dataclasses.asdict(r) for r in result.restarts],
         }))
-        return 0 if result.converged else 1
-    print(f"target: {monomial.text()}")
-    print(f"k: {args.k}")
-    print(f"summands: {args.s}")
-    print(f"restarts: {args.restarts}")
-    print(f"tolerance: {args.tol:.6e}")
-    print(f"seed: {seed}")
-    print(f"best residual: {result.best_residual:.6e}")
-    print(f"restarts used: {result.restarts_used}")
-    print(f"converged: {'true' if result.converged else 'false'}")
-    return 0 if result.converged else 1
+    else:
+        print(f"target: {monomial.text()}")
+        print(f"k: {args.k}")
+        print(f"summands: {args.s}")
+        print(f"restarts: {args.restarts}")
+        print(f"tolerance: {args.tol:.6e}")
+        print(f"seed: {seed}")
+        print(f"best residual: {result.best_residual:.6e}")
+        print(f"restarts used: {result.restarts_used}")
+        print(f"converged: {'true' if result.converged else 'false'}")
+    return 0 if result.converged and not _refuted(monomial, args.k, args.s) else 1
 
 
 def _cmd_classes(args) -> int:

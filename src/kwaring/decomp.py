@@ -81,10 +81,11 @@ def default_names(nvars: int) -> tuple:
 @dataclass
 class Certificate:
     """A power-sum identity for a monomial in one or more distinct variables
-    named as ``algebra.NAME_RE`` allows.  Immutable by convention;
-    ``verified`` is a cache set by verify().  A summand's scalar may be given
-    as a rational (int or ``Q``); it is stored as that element of the
-    tower."""
+    named as ``algebra.NAME_RE`` allows.  Immutable by convention.  verify()
+    sets ``verified``; ``certfile.parse`` copies it from the file without
+    checking it, so it proves nothing about the file: only ``verify`` proves
+    an identity, by expanding it.  A summand's scalar may be given as a
+    rational (int or ``Q``); it is stored as that element of the tower."""
 
     variables: tuple
     k: int
@@ -105,10 +106,6 @@ class Certificate:
     @property
     def summand_count(self) -> int:
         return len(self.summands)
-
-    @property
-    def form_degree(self) -> int:
-        return self.target.degree // self.k
 
 
 def verify(cert: Certificate) -> bool:
@@ -187,8 +184,8 @@ def _modular_kernel(ring, parts, k: int, target):
     primes in numpy int64; None for a tower with too few split primes.
 
     The primes are the fewest of the tower's split primes whose product
-    exceeds ``_height_bound`` (``IntegerStructure.split_primes``, which
-    brings each one's evaluation matrix).  Every cleared coefficient and
+    exceeds ``_height_bound``, with their evaluation matrices stacked
+    (``IntegerStructure.split_primes_above``).  Every cleared coefficient and
     scalar is mapped once, mod each prime, to its values at the tower's n
     root tuples, and from there every tower product is elementwise.
 
@@ -206,7 +203,7 @@ def _modular_kernel(ring, parts, k: int, target):
     Why a zero result is a proof.  The integer structure's product ``mul``
     returns L*x*y, and the exact difference X that ``_height_bound`` bounds
     is the one whose leaves take k + t - 1 such products, each summand's
-    scalar scaled to the common denominator of ``_modular_denominators``.  At a
+    scalar scaled to the common denominator of ``_height_bound``.  At a
     split prime p (dividing neither L nor a coefficient denominator),
     evaluation at the n root tuples is a ring isomorphism from (Z/p)[tower]
     to F_p^n, so it maps L*x*y to L * x(r) * y(r) at every tuple r: scaling
@@ -216,18 +213,19 @@ def _modular_kernel(ring, parts, k: int, target):
     exceeds H >= |every coordinate of X|, exactly when X = 0.  Over Q
     (n = 1) the evaluation is the identity and is skipped.
     """
-    split = _split_primes_above(ring, _height_bound(ring, parts, k))
+    dens, common, height = _height_bound(ring, parts, k)
+    split = ring.split_primes_above(height)
     if split is None:
         return None
     primes, moduli, points = split
     n, m = ring.size, len(primes)
-    dens, common = _modular_denominators(ring, parts, k)
     groups: dict = {}  # support -> each summand's coefficients, then its scalar
     for (support, coeffs, _, s, _), den in zip(parts, dens):
         flat = groups.setdefault(support, [])
         for c in coeffs:
             flat += c
-        flat += ring.scale(s, common // den * ring.denominator ** (k + len(support) - 1))
+        scale = common // den * ring.denominator ** (k + len(support) - 1)
+        flat += [scale * a for a in s]
     sums = []
     for support, flat in groups.items():
         t = len(support)
@@ -359,9 +357,9 @@ class _SplitPlan(NamedTuple):
     position: np.ndarray
 
 
-# Plans, output plans, multinomial residues and prime arrays kept, one per
-# (t, k), (supports, k), (t, k, primes) and (tower, number of primes).  Output
-# plans have the most keys, 100-104 in a decompose-sweep run (seeds 1-13).
+# Plans, output plans and multinomial residues kept, one per (t, k),
+# (supports, k) and (t, k, primes).  Output plans have the most keys, 100-104
+# in a decompose-sweep run (seeds 1-13).
 PLAN_CACHE_SIZE = 128
 
 
@@ -457,16 +455,10 @@ def _residues(ints, moduli) -> np.ndarray:
         return np.stack([(flat % int(p)).astype(np.int64) for p in moduli.reshape(-1)])
 
 
-def _modular_denominators(ring, parts, k: int):
-    """Each summand's denominator L^(k+t-1) * D^k * D_s in the modular
-    kernel, and their least common multiple."""
-    dens = [ring.denominator ** (k + len(support) - 1) * den ** k * den_s
-            for support, _, den, _, den_s in parts]
-    return dens, lcm(*dens)
-
-
-def _height_bound(ring, parts, k: int) -> int:
-    """H >= |every coefficient| of the modular kernel's exact difference.
+def _height_bound(ring, parts, k: int):
+    """(dens, common, H): each summand's denominator L^(k+t-1) * D^k * D_s
+    in the modular kernel, their least common multiple, and H >= |every
+    coefficient| of the kernel's exact difference.
 
     In the 1-norm, ``mul`` grows a product by at most rho = ``ring.row_norm``,
     and a leaf of a summand with t terms takes k + t - 1 products: k powers,
@@ -475,54 +467,21 @@ def _height_bound(ring, parts, k: int) -> int:
 
         H = common + sum_j (common / den_j) |s_j| rho^(k+t_j-1) (sum_u |c_ju|)^k
     """
-    dens, common = _modular_denominators(ring, parts, k)
+    dens = [ring.denominator ** (k + len(support) - 1) * den ** k * den_s
+            for support, _, den, _, den_s in parts]
+    common = lcm(*dens)
     rho = ring.row_norm
-    return common + sum(
+    return dens, common, common + sum(
         common // den * sum(map(abs, s)) * rho ** (k + len(support) - 1)
         * sum(map(abs, chain.from_iterable(coeffs))) ** k
         for (support, coeffs, _, s, _), den in zip(parts, dens)
     )
 
 
-def _split_primes_above(ring, height: int):
-    """The fewest of the tower's largest split primes whose product exceeds
-    height, as ``_prime_arrays``; None if the tower has too few."""
-    count = max(1, -(-height.bit_length() // 26))
-    while True:
-        split = ring.split_primes(count)
-        if split is None:
-            return None
-        if prod(p for p, _ in split) > height:
-            return _prime_arrays(ring, count)
-        count += 1
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _prime_arrays(ring, count: int):
-    """The tower's ``count`` largest split primes, their moduli (primes, 1)
-    and their transposed evaluation matrices stacked, None over Q."""
-    split = ring.split_primes(count)
-    primes = tuple(p for p, _ in split)
-    points = None if ring.size == 1 else np.stack([matrix.T for _, matrix in split])
-    return primes, np.array(primes, dtype=np.int64).reshape(count, 1), points
-
-
 def _must_verify(cert: Certificate) -> Certificate:
     if not verify(cert):
         raise CertificateError("internal error: constructed certificate failed verification")
     return cert
-
-
-def check_at_point(cert: Certificate, point) -> bool:
-    """Exact evaluation cross-check at a rational point (stays in the tower)."""
-    total = cert.tower.zero()
-    for scalar, form in cert.summands:
-        total = total + scalar * (form.eval_exact(point) ** cert.k)
-    target_val = Q(1)
-    for i, e in enumerate(cert.target.exponents):
-        if e:
-            target_val *= Q(point[i]) ** e
-    return total == cert.tower.scalar(target_val)
 
 
 # ---------------------------------------------------------------------------

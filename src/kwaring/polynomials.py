@@ -17,7 +17,7 @@ from math import comb, factorial
 import numpy as np
 
 from .algebra import ExtensionTower, RingElement, TowerError, binary_power
-from .rationals import Q, as_rational, is_rational
+from .rationals import is_rational
 
 
 @dataclass(frozen=True)
@@ -149,14 +149,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def sorted_terms(self):
         """Terms in canonical order (graded lex, descending)."""
         return [(e, self.terms[e]) for e in sorted(self.terms, key=_order_key, reverse=True)]
@@ -282,35 +274,6 @@ class Polynomial:
             Monomial(tuple(int(j == identifications.get(i, i)) for j in range(n)))
             for i in range(n)
         ])
-
-    # -- evaluation ------------------------------------------------------------
-
-    def eval_exact(self, point) -> RingElement:
-        """Exact evaluation at rational variable values (stays in the tower)."""
-        vals = [as_rational(v) for v in point]
-        if len(vals) != self.nvars:
-            raise ValueError("point has wrong length")
-        total = self.tower.zero()
-        for e, c in self.terms.items():
-            f = Q(1)
-            for i in range(self.nvars):
-                if e[i]:
-                    f *= vals[i] ** e[i]
-            total = total + c * f
-        return total
-
-    def eval_complex(self, point, roots=None) -> complex:
-        """Numeric evaluation; generators mapped to the given complex roots."""
-        if roots is None:
-            roots = self.tower.complex_roots()
-        total = 0j
-        for e, c in self.terms.items():
-            t = c.evaluate(roots)
-            for i in range(self.nvars):
-                if e[i]:
-                    t *= point[i] ** e[i]
-            total += t
-        return total
 
     # -- output ------------------------------------------------------------
 

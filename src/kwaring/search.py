@@ -373,24 +373,3 @@ def params_from_certificate(problem: SearchProblem, cert) -> np.ndarray:
             params[j * B + problem.form_index[e]] = factor * complex(c.evaluate(roots))
     return params
 
-
-def probe_open_case(monomial: Monomial, k: int, restarts: int = 50,
-                    tolerance: float = 1e-10, seed: int = 0):
-    """Try every s in [lower, upper] and report the first converging count.
-
-    Heuristic evidence only: float convergence is not an exact certificate,
-    and failure to converge is not a proof of impossibility.
-    """
-    from .rank import KInstance, classify
-
-    bounds = classify(KInstance(monomial, k))
-    report = []
-    for s in range(bounds.lower, bounds.upper + 1):
-        result = search(SearchProblem(monomial, k, s), restarts=restarts,
-                        tolerance=tolerance, seed=seed)
-        report.append((s, result))
-    return {
-        "bounds": (bounds.lower, bounds.upper),
-        "results": report,
-        "heuristic": True,
-    }

@@ -1,6 +1,7 @@
 """Certificate file round trips and strictness of the canonical parser."""
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,8 @@ from kwaring.polynomials import Monomial, Polynomial
 from kwaring.rank import KInstance
 from kwaring.rationals import Q
 from kwaring.search import SearchProblem, params_from_certificate, residual
+
+from test_verify_kernels import GOLDEN_DIR, corrupted
 
 
 def sample_certs():
@@ -171,6 +174,16 @@ def test_digit_corruption_still_parses_but_fails_verify():
     assert "(-1/6)" in text
     corrupted = parse(text.replace("(-1/6)", "(-1/7)", 1))
     assert verify(corrupted) is False
+
+
+def test_the_verified_line_is_trusted_by_parse_and_reset_by_verify():
+    """``parse`` copies the file's ``verified: true`` into the certificate
+    without checking it, so a golden file with one corrupted digit parses
+    as verified; ``verify`` rejects it and resets the flag."""
+    text = (GOLDEN_DIR / "special_x04x1x2.cert").read_text(encoding="utf-8")
+    cert = parse(corrupted(text, random.Random(26)))
+    assert "verified: true" in text and cert.verified is True
+    assert verify(cert) is False and cert.verified is False
 
 
 @functools.lru_cache(maxsize=None)

@@ -127,6 +127,23 @@ def test_search_exit_codes():
     assert "converged: false" in fail.stdout
 
 
+@pytest.mark.parametrize("k, restarts, monomial", [(4, "1", "1,27"), (3, "6", "1,11")])
+def test_a_converged_search_below_the_proven_lower_bound_exits_1(k, restarts, monomial,
+                                                                  monkeypatch, capsys):
+    """At s = 2 the search converges numerically, but the rank-2
+    characterisation proves rank >= 3: stdout and --json keep the verdict,
+    one stderr line names the rule and the bound, and the exit code is 1."""
+    monkeypatch.delenv("WARING_SEED", raising=False)
+    argv = ["search", "-k", str(k), "-s", "2", "--restarts", restarts, monomial]
+    expected = "search: converged with 2 summands, but minimum-rank-dichotomy proves rank >= 3\n"
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith("converged: true\n") and err == expected
+    assert main(argv + ["--json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["converged"] is True and err == expected
+
+
 def test_search_seed_env_override():
     by_flag = run_cli("search", "-k", "2", "-s", "2", "--restarts", "3",
                       "--seed", "9", "2,2")

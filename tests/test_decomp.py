@@ -1,8 +1,8 @@
 """Certificate constructions, transformers, and the decomposition pipeline.
 
 Every constructed certificate must verify by exact expansion; counts are
-checked against the rank formula and the classifier; exact evaluation at
-rational points gives an independent spot check.
+checked against the rank formula and the classifier; the reference checker
+``tests/refcheck.py`` gives an independent check.
 """
 
 import random
@@ -16,7 +16,6 @@ from kwaring.decomp import (
     CertificateError,
     MalformedCertificateError,
     PerfectSquareError,
-    check_at_point,
     decompose,
     greedy_split,
     group_substitute,
@@ -32,6 +31,9 @@ from kwaring.decomp import (
 from kwaring.polynomials import Monomial, Polynomial
 from kwaring.rank import KInstance, classify, monomial_rank
 from kwaring.rationals import Q
+
+import refcheck
+from test_verify_kernels import corrupted
 
 
 def test_trivial_cert():
@@ -107,7 +109,7 @@ def test_monomial_linear_decomp_matches_rank_formula():
         assert cert.summand_count == monomial_rank(exps), exps
         assert cert.k == sum(exps)
         for _, form in cert.summands:
-            assert form.degree() == 1
+            assert set(map(sum, form.terms)) == {1}
 
 
 def test_monomial_linear_decomp_degree_one():
@@ -310,6 +312,8 @@ def test_transformers_do_no_tower_arithmetic(monkeypatch):
 
 
 def test_exact_point_checks():
+    """The reference checker accepts each certificate and rejects a seeded
+    single-digit corruption of it."""
     rng = random.Random(5)
     certs = [
         two_square(Monomial((3, 1))),
@@ -319,10 +323,9 @@ def test_exact_point_checks():
         decompose(KInstance(Monomial((3, 1, 1, 1)), 3)),
     ]
     for cert in certs:
-        nv = len(cert.variables)
-        for _ in range(4):
-            point = [Q(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(nv)]
-            assert check_at_point(cert, point), (cert.target, point)
+        text = serialize(cert)
+        assert refcheck.check(text) is True, cert.target
+        assert refcheck.check(corrupted(text, rng)) is False, cert.target
 
 
 # -- randomized transformer pipelines ---------------------------------------

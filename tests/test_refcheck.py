@@ -17,10 +17,9 @@ from pathlib import Path
 import pytest
 
 import refcheck
-from kwaring import decomp
 from kwaring.algebra import EMPTY_TOWER
 from kwaring.certfile import parse, serialize
-from kwaring.decomp import _cleared, decompose, product_linear, verify
+from kwaring.decomp import _cleared, _height_bound, decompose, product_linear, verify
 from kwaring.polynomials import Monomial, Polynomial
 from kwaring.rank import KInstance
 from kwaring.rationals import Q
@@ -76,9 +75,9 @@ def test_a_difference_that_one_prime_divides():
     denominator: the exact difference is p x0^4, which vanishes modulo p.
     ``_height_bound`` counts the new scalar, so a second prime rejects it."""
     cert = product_linear(4)
-    _, common = decomp._modular_denominators(*_cleared(cert)[:3])
+    common = _height_bound(*_cleared(cert)[:3])[1]
     (p, _), = EMPTY_TOWER.integer_structure().split_primes(1)
     x0 = Polynomial.variable(EMPTY_TOWER, 4, 0)
     cert.summands += ((EMPTY_TOWER.scalar(Q(p, common)), x0),)
-    assert decomp._modular_denominators(*_cleared(cert)[:3])[1] == common
+    assert _height_bound(*_cleared(cert)[:3])[1] == common
     assert agree(serialize(cert)) is False

@@ -17,7 +17,6 @@ from kwaring.search import (
     SearchProblem,
     gradient,
     params_from_certificate,
-    probe_open_case,
     residual,
     _damped_solve,
     _damping_filter,
@@ -142,14 +141,6 @@ def test_search_restart_prefix_stability():
     assert a.converged and b.converged
     assert a.restarts_used == b.restarts_used
     assert a.best_residual == b.best_residual
-
-
-def test_probe_open_case_reports_full_range():
-    report = probe_open_case(Monomial((2, 4)), 3, restarts=10, seed=0)
-    assert report["heuristic"] is True
-    assert report["bounds"] == (3, 3)
-    assert [s for s, _ in report["results"]] == [3]
-    assert report["results"][0][1].converged
 
 
 def _random_problem(rng):

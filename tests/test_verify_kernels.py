@@ -19,8 +19,10 @@ accumulation) and its product count are pinned here.  The sympy oracle
 runs the kernel and the fallback too (``tests/test_verify_oracle.py``).
 """
 
+import gc
 import random
 import tracemalloc
+import weakref
 from math import comb, prod
 from pathlib import Path
 
@@ -28,8 +30,8 @@ import numpy as np
 import pytest
 
 from kwaring import algebra, decomp
-from kwaring.algebra import (EMPTY_TOWER, PRIME_LIMIT, _prime, cyclotomic_poly, is_prime,
-                             roots_of_unity_tower)
+from kwaring.algebra import (EMPTY_TOWER, PRIME_LIMIT, TOWER_CACHE_SIZE, _prime, cyclotomic_poly,
+                             is_prime, roots_of_unity_tower)
 from kwaring.certfile import parse, serialize
 from kwaring.decomp import (
     Certificate,
@@ -377,12 +379,31 @@ def test_primes_are_distinct_and_below_the_limit():
 @pytest.mark.parametrize("tower", [EMPTY_TOWER, _sqrt_tower()], ids=["Q", "sqrt"])
 def test_split_primes_cover_the_height(tower):
     """The fewest split primes whose product exceeds the height: a product
-    of two primes needs a third."""
+    of two primes needs a third.  The arrays for a prime count are kept on
+    the structure."""
     ring = tower.integer_structure()
     two = prod(p for p, _ in ring.split_primes(2))
     for height, count in ((1, 1), (two - 1, 2), (two, 3)):
-        primes = decomp._split_primes_above(ring, height)[0]
+        primes = ring.split_primes_above(height)[0]
         assert len(primes) == count and prod(primes) > height
+        assert ring.split_primes_above(height) is ring.split_primes_above(height)
+
+
+def test_split_prime_arrays_live_as_long_as_their_tower():
+    """Verify one certificate over each of ``TOWER_CACHE_SIZE`` + 36
+    distinct towers u^2 = a: once a tower leaves the intern cache, no cache
+    keeps its structure and split-prime arrays alive."""
+    structures = []
+    for a in range(2, TOWER_CACHE_SIZE + 38):
+        tower = _sqrt_of(a)
+        z0, z1 = (Polynomial.variable(tower, 2, j) for j in range(2))
+        cert = _cert(tower, 2, 2, (1, 1), [(tower.scalar(Q(1, 4)), z0 + z1),
+                                           (tower.scalar(Q(-1, 4)), z0 - z1)])
+        assert verify(cert) is True
+        structures.append(weakref.ref(tower.integer_structure()))
+    del tower, z0, z1, cert
+    gc.collect()
+    assert sum(ref() is not None for ref in structures) <= TOWER_CACHE_SIZE
 
 
 def test_verify_memory_stays_bounded():

@@ -31,7 +31,6 @@ from kwaring.decomp import (
     _cleared,
     _expanded,
     _height_bound,
-    _modular_denominators,
     _modular_kernel,
     decompose,
     monomial_linear_decomp,
@@ -102,14 +101,14 @@ def assert_height_bounds(cert):
     common its summands' common denominator, an integer vector; the
     difference is expanded in the tower's ``Polynomial`` arithmetic."""
     ring, parts, k, _ = _cleared(cert)
-    _, common = _modular_denominators(ring, parts, k)
+    _, common, height = _height_bound(ring, parts, k)
     difference = -cert.target.to_polynomial(cert.tower)
     for scalar, form in cert.summands:
         difference = difference + form ** k * scalar
     coords = [Q(a * common, c.denominator) for c in difference.terms.values()
               for a in c.numerators]
     assert all(x.denominator == 1 for x in coords)
-    assert _height_bound(ring, parts, k) >= max(map(abs, coords), default=0)
+    assert height >= max(map(abs, coords), default=0)
 
 
 def _rational(rng):
@@ -152,7 +151,7 @@ def _rescaled(cert, rng):
 
 
 def _with_cancelling_pairs(cert, rng):
-    tower, nv, d = cert.tower, len(cert.variables), cert.form_degree
+    tower, nv, d = cert.tower, len(cert.variables), cert.target.degree // cert.k
     out = list(cert.summands)
     for _ in range(rng.randrange(1, 3)):
         c, lam = _element(tower, rng), _element(tower, rng)
