@@ -22,17 +22,13 @@ from .decomp import (
     Certificate,
     CertificateError,
     MalformedCertificateError,
-    PerfectSquareError,
     decompose,
-    greedy_split,
     group_substitute,
     monomial_linear_decomp,
     multiply_cert,
     product_linear,
     special_x04x1x2,
     specialize_cert,
-    trivial_cert,
-    two_square,
     verify,
 )
 from .polynomials import Monomial, Polynomial
@@ -69,7 +65,6 @@ __all__ = [
     "KInstance",
     "MalformedCertificateError",
     "Monomial",
-    "PerfectSquareError",
     "Polynomial",
     "Q",
     "RankBounds",
@@ -83,7 +78,6 @@ __all__ = [
     "cyclotomic_poly",
     "decompose",
     "gradient",
-    "greedy_split",
     "group_substitute",
     "monomial_linear_decomp",
     "monomial_rank",
@@ -101,8 +95,6 @@ __all__ = [
     "serialize",
     "special_x04x1x2",
     "specialize_cert",
-    "trivial_cert",
-    "two_square",
     "unity_root",
     "verify",
     "write_certificate",

@@ -316,8 +316,9 @@ class IntegerStructure:
     mod p.  The n root tuples then make evaluation a ring isomorphism from
     (Z/p)[tower] to F_p^n (the Chinese remainder theorem, level by level),
     given by the (n, n) evaluation matrix that each split prime comes with.
-    ``split_primes_above`` keeps the fewest that ``verify`` needs, with their
-    matrices stacked, so they live as long as the structure and its tower.
+    The matrices are kept transposed in one stacked array, of which
+    ``split_primes`` and ``split_primes_above`` return views, so they live
+    as long as the structure and its tower.
     """
 
     def __init__(self, tower: ExtensionTower):
@@ -334,8 +335,9 @@ class IntegerStructure:
         # every denominator that a split prime must not divide
         self._denominators = big * prod(c.denominator for g in tower.generators
                                         for c in g.lower_coeffs)
-        self._split: list = []  # (p, evaluation matrix) per split prime found
-        self._arrays: dict = {}  # prime count -> split_primes_above's arrays
+        self._primes: list = []  # the split primes found, largest first
+        # their transposed evaluation matrices, stacked
+        self._points = np.empty((0, self.size, self.size), dtype=np.int64)
         self._tried = 0  # candidate primes examined
         self._orders = [_unity_order(g) for g in tower.generators]  # m per level Phi_m, or None
 
@@ -374,7 +376,7 @@ class IntegerStructure:
         every prime; a separable tower has one only at primes dividing a
         discriminant of a level, and a wrong stop there only sends its
         certificates to ``verify``'s exact fallback."""
-        while len(self._split) < count:
+        while len(self._primes) < count:
             if self._tried == SPLIT_SEARCH:
                 return None
             p = _prime(self._tried)
@@ -392,23 +394,22 @@ class IntegerStructure:
                     powers = [[pow(r, e, p) for e in range(d)] for r, d in zip(roots, degrees)]
                     matrix.append([prod(pw[e] for pw, e in zip(powers, exps)) % p
                                    for exps in basis])
-                self._split.append((p, np.array(matrix, dtype=np.int64)))
-        return self._split[:count]
+                self._primes.append(p)
+                matrix = np.array(matrix, dtype=np.int64)
+                self._points = np.concatenate((self._points, matrix.T[None]))
+        return [(p, points.T) for p, points in zip(self._primes[:count], self._points)]
 
     def split_primes_above(self, height: int):
         """The fewest of the tower's largest split primes whose product
-        exceeds height, as (primes, moduli of shape (primes, 1), transposed
-        evaluation matrices stacked, or None over Q), kept per prime count;
-        None when the tower has too few."""
+        exceeds height, as (primes, moduli of shape (primes, 1), a view of
+        their stacked transposed evaluation matrices, or None over Q); None
+        when the tower has too few."""
         count = max(1, -(-height.bit_length() // 26))
-        while (split := self.split_primes(count)) is not None:
-            primes = tuple(p for p, _ in split)
+        while self.split_primes(count) is not None:
+            primes = tuple(self._primes[:count])
             if prod(primes) > height:
-                if count not in self._arrays:
-                    self._arrays[count] = (
-                        primes, np.array(primes, dtype=np.int64).reshape(count, 1),
-                        None if self.size == 1 else np.stack([m.T for _, m in split]))
-                return self._arrays[count]
+                return (primes, np.array(primes, dtype=np.int64).reshape(count, 1),
+                        None if self.size == 1 else self._points[:count])
             count += 1
         return None
 

@@ -21,8 +21,6 @@ module returns an unverified certificate.
 
 The constructions:
 
-* ``two_square``: M = X*Y gives (1/4)(X+Y)^2 - (1/4)(X-Y)^2 (the imaginary
-  unit of the underlying two-square identity folded into the scalar).
 * ``monomial_linear_decomp``: root-of-unity averaging.  With a_min at
   position i0 and m_i = a_i + 1 elsewhere,
 
@@ -43,7 +41,9 @@ The constructions:
   form's terms (``Polynomial.map_exponents``), does no tower arithmetic, and
   builds its result through ``_transformed``.
 * ``decompose``: the full pipeline, which builds with the rank rule that
-  attains classify's upper bound (see ``rank.RULES``).
+  attains classify's upper bound (see ``rank.RULES``): block grouping,
+  ``group_substitute`` of an averaging certificate, or the three-cube
+  route.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ class CertificateError(ValueError):
 
 class MalformedCertificateError(CertificateError):
     """Structurally invalid certificate (wrong degrees, towers, arity)."""
-
-
-class PerfectSquareError(CertificateError):
-    """two_square rejected a degenerate split (rank 1; use a trivial certificate)."""
 
 
 def default_names(nvars: int) -> tuple:
@@ -488,83 +484,6 @@ def _must_verify(cert: Certificate) -> Certificate:
 # Elementary constructions
 
 
-def trivial_cert(monomial: Monomial, k: int) -> Certificate:
-    """M = (N)^k for a k-th power M."""
-    root = monomial.kth_root(k)
-    cert = Certificate(
-        variables=default_names(monomial.nvars),
-        k=k,
-        target=monomial,
-        tower=EMPTY_TOWER,
-        summands=((EMPTY_TOWER.one(), root.to_polynomial(EMPTY_TOWER)),),
-        provenance=("pure-power",),
-    )
-    return _must_verify(cert)
-
-
-def greedy_split(monomial: Monomial, parts: int):
-    """Left-fill the exponent units into `parts` equal-degree monomials."""
-    total = monomial.degree
-    if parts < 1 or total % parts != 0:
-        raise ValueError("degree must split evenly")
-    each = total // parts
-    if each == 0:
-        raise ValueError("cannot split a constant")
-    buckets = [[0] * monomial.nvars for _ in range(parts)]
-    b = fill = 0
-    for i, e in enumerate(monomial.exponents):
-        for _ in range(e):
-            if fill == each:
-                b += 1
-                fill = 0
-            buckets[b][i] += 1
-            fill += 1
-    return [Monomial(tuple(bucket)) for bucket in buckets]
-
-
-def two_square(monomial: Monomial, split=None) -> Certificate:
-    """M = X*Y as (1/4)(X+Y)^2 - (1/4)(X-Y)^2.
-
-    The default split is the greedy left-fill; a split with X == Y is the
-    degenerate perfect-square case and is rejected.
-    """
-    if monomial.degree % 2 != 0 or monomial.degree == 0:
-        raise CertificateError("two_square needs a nonconstant even-degree monomial")
-    if split is None:
-        if all(e % 2 == 0 for e in monomial.exponents):
-            raise PerfectSquareError(
-                "perfect square has rank 1; use the trivial certificate"
-            )
-        x_part, y_part = greedy_split(monomial, 2)
-    else:
-        x_part, y_part = split
-    if x_part * y_part != monomial:
-        raise CertificateError("split does not multiply back to the monomial")
-    if x_part.degree != y_part.degree:
-        raise CertificateError("split parts must have equal degree")
-    if x_part == y_part:
-        raise PerfectSquareError(
-            "perfect square has rank 1; use the trivial certificate"
-        )
-    tower = EMPTY_TOWER.extend("i", (Q(1), Q(0), Q(1)))
-    px = x_part.to_polynomial(tower)
-    py = y_part.to_polynomial(tower)
-    cert = Certificate(
-        variables=default_names(monomial.nvars),
-        k=2,
-        target=monomial,
-        tower=tower,
-        summands=(
-            (tower.scalar(Q(1, 4)), px + py),
-            (tower.scalar(Q(-1, 4)), px - py),
-        ),
-        provenance=(
-            f"two-square split {x_part.text()} | {y_part.text()}",
-        ),
-    )
-    return _must_verify(cert)
-
-
 def product_linear(k: int) -> Certificate:
     """x0*...*x(k-1) as 2^(k-1) k-th powers of signed linear forms: the
     root-of-unity averaging certificate for exponents (1, ..., 1)."""
@@ -668,8 +587,8 @@ def _transformed(cert: Certificate, variables, target: Monomial, form_map,
 def group_substitute(cert: Certificate, images) -> Certificate:
     """Substitute an equal-degree monomial for every variable.
 
-    Monomial images of one common degree l >= 1 turn a certificate for M into
-    one for the substituted monomial; forms pick up degree factor l and the
+    Monomial images of one common degree l turn a certificate for M into one
+    for the substituted monomial; forms pick up degree factor l and the
     scalars are untouched.
     """
     images = list(images)
@@ -679,8 +598,6 @@ def group_substitute(cert: Certificate, images) -> Certificate:
         raise CertificateError("empty image list")
     level = images[0].degree
     out_nv = images[0].nvars
-    if level < 1:
-        raise CertificateError("images must be nonconstant monomials")
     for img in images:
         if img.degree != level or img.nvars != out_nv:
             raise CertificateError("images must share one degree and variable set")

@@ -5,15 +5,16 @@ homogeneous degree-d forms whose k-th powers sum to M.  The rules encoded
 here:
 
 * ``monomial_rank``: the exact rank of a degree-D monomial written as a sum
-  of D-th powers of linear forms, ``prod(a_i + 1) / (a_min + 1)``.
-* mod-k reduction: M = N^k * R with R the residue monomial; every
-  decomposition of R multiplies through by N, so ranks only drop.
-* the generic splitting bound 2^(k-1) from the alternating-sign identity for
-  a product of k blocks.
-* rank 1 exactly for k-th powers; rank 2 occurs only for k = 2 (two-square
-  identity on any non-square even product).
-* cube (k = 3) class bounds obtained by grouping the reduced monomial into
-  two blocks X*Y^2, including the three-cube route through x^4*y*z.
+  of D-th powers of linear forms, ``prod(a_i + 1) / (a_min + 1)`` [CCG].
+* block grouping: if M = prod B_i^(a_i) with degree-d monomials B_i and
+  sum a_i = k, substituting y_i -> B_i in the averaging certificate of
+  prod y_i^(a_i) writes M with ``monomial_rank(a)`` k-th powers.  The rule
+  takes the pattern a of least rank that M admits.  Pure powers (a = (k)),
+  the two-square identity (k = 2, a = (1, 1)), the alternating-sign
+  identity for k blocks (a = (1, ..., 1)) and the rank formula itself
+  (d = 1) are its cases.
+* rank 1 exactly for k-th powers; rank 2 occurs only for k = 2.
+* the three-cube route through x^4*y*z for k = 3.
 * a small table of computed k = 4 binary ranks.
 
 One ordered table, ``RULES``, holds every rule: where it applies, the bound
@@ -27,20 +28,16 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations_with_replacement
 from math import prod
+from operator import itemgetter, mul, sub
 
 from .decomp import (
     CertificateError,
-    greedy_split,
     group_substitute,
     monomial_linear_decomp,
     multiply_cert,
-    product_linear,
     special_x04x1x2,
-    trivial_cert,
-    two_square,
 )
 from .polynomials import Monomial
 
@@ -148,23 +145,12 @@ def _slots(inst: KInstance, r: int) -> list:
     return [i for i, e in enumerate(inst.monomial.exponents) if e % inst.k == r]
 
 
-def _cube_pattern(inst: KInstance):
-    """(residue-1 count, residue-2 count) for k = 3, else None."""
-    return (len(_slots(inst, 1)), len(_slots(inst, 2))) if inst.k == 3 else None
-
-
 def _big_slot(inst: KInstance):
     """For k = 3 and residue pattern x*y*z, the first residue-1 position whose
     exponent is at least 4, else None."""
-    if _cube_pattern(inst) != (3, 0):
+    if inst.k != 3 or _residue(inst) != (1, 1, 1):
         return None
     return next((i for i in _slots(inst, 1) if inst.monomial.exponents[i] >= 4), None)
-
-
-def _reduced_rank(inst: KInstance, binary: bool):
-    r = _residue(inst)
-    applies = inst.k > 2 and sum(r) == inst.k and (len(r) == 2) == binary
-    return monomial_rank(r) if applies else None
 
 
 def _direct(inst: KInstance):
@@ -177,73 +163,91 @@ def _known(inst: KInstance):
     return KNOWN_QUARTIC_BINARY.get(live) if inst.k == 4 else None
 
 
-def _unit(nv: int, i: int, e: int = 1) -> Monomial:
+def _patterns(k: int, largest: int) -> list:
+    """Every partition a of k into parts of at most ``largest``, as
+    (``monomial_rank(a)``, a) with a nonincreasing, in reverse lexicographic
+    order.  The last part is the least, so the rank is prod(a_i + 1) over
+    the others."""
+    if not k:
+        return [(1, ())]
+    return [((first + 1) * rank if rest else 1, (first,) + rest)
+            for first in range(min(k, largest), 0, -1)
+            for rank, rest in _patterns(k - first, first)]
+
+
+def _splits(e: int, a: tuple, caps: tuple, room: int, j: int = 0):
+    """Every (c_j, c_j+1, ...) with sum_i a_i c_i = e and 0 <= c_i <= caps[i],
+    the earliest blocks taking the most first.  ``room`` is
+    sum_{i >= j} a_i caps[i], so no branch is a dead end."""
+    if j == len(a):
+        yield ()
+        return
+    room -= a[j] * caps[j]
+    for c in range(min(caps[j], e // a[j]), max(0, -((room - e) // a[j])) - 1, -1):
+        for rest in _splits(e - a[j] * c, a, caps, room, j + 1):
+            yield (c,) + rest
+
+
+def _fill(live: list, a: tuple, runs: list, failed: set, n: int, caps: tuple):
+    """One split (c_i) per exponent of ``live[n:]`` across blocks with
+    remaining capacities ``caps``, or None.  Blocks of equal a_i are
+    interchangeable, so a failed state goes into ``failed`` as (variable,
+    capacities sorted within each run of equal a_i)."""
+    if n == len(live):
+        return []
+    state = (n, *(tuple(sorted(caps[run])) for run in runs))
+    if state not in failed:
+        for c in _splits(live[n], a, caps, sum(map(mul, a, caps))):
+            rest = _fill(live, a, runs, failed, n + 1, tuple(map(sub, caps, c)))
+            if rest is not None:
+                return [c] + rest
+        failed.add(state)
+    return None
+
+
+def _blocks(exponents: tuple, a: tuple, d: int):
+    """Degree-d monomials B_i with prod B_i^(a_i) = x^exponents, or None.
+
+    ``a`` is nonincreasing, so the first j + 1 blocks all have a_i >= a_j
+    and fit in floor(x^exponents / a_j), a quick test.  Then a depth-first
+    search over the variables, ``_fill``, splits each exponent across the
+    blocks."""
+    if any(sum(e // part for e in exponents) < (j + 1) * d for j, part in enumerate(a)):
+        return None
+    runs = [slice(i, i + a.count(part)) for i, part in enumerate(a)
+            if not i or a[i - 1] != part]
+    path = _fill([e for e in exponents if e], a, runs, set(), 0, (d,) * len(a))
+    if path is None:
+        return None
+    splits = iter(path)
+    columns = [next(splits) if e else (0,) * len(a) for e in exponents]
+    return [Monomial(block) for block in zip(*columns)]
+
+
+def _grouping(inst: KInstance):
+    """(a, blocks): the pattern a, a partition of k, of least ``monomial_rank``
+    for which M = prod B_i^(a_i) with degree-d blocks B_i; ties go to the
+    earlier pattern in reverse lexicographic order.  Some pattern applies,
+    since every monomial splits into k blocks, a = (1, ..., 1).  The blocks
+    are distinct: equal blocks merge into a pattern of smaller rank."""
+    d = inst.monomial.degree // inst.k
+    for _, a in sorted(_patterns(inst.k, inst.k), key=itemgetter(0)):
+        blocks = _blocks(inst.monomial.exponents, a, d)
+        if blocks is not None:
+            assert len(set(blocks)) == len(blocks), (inst, a, blocks)
+            return a, blocks
+
+
+def _build_grouping(inst: KInstance):
+    """The averaging certificate of prod y_i^(a_i), y_i -> B_i."""
+    a, blocks = _grouping(inst)
+    return group_substitute(monomial_linear_decomp(a), blocks)
+
+
+def _unit(nv: int, i: int) -> Monomial:
     exps = [0] * nv
-    exps[i] = e
+    exps[i] = 1
     return Monomial(tuple(exps))
-
-
-def _grouped(base, images, cofactor: Monomial):
-    return multiply_cert(group_substitute(base, images), cofactor)
-
-
-def _build_two_square(inst: KInstance):
-    residue, cofactor = reduce_mod_k(inst)
-    return multiply_cert(two_square(residue), cofactor)
-
-
-def _split_blocks(residue: Monomial, k: int) -> list:
-    """``greedy_split`` into k blocks, unless every distinct block occurs an
-    even number of times: the alternating-sign identity then has a form whose
-    blocks cancel, so the first block trades one unit of its first variable
-    for one unit of the last block's last variable, and its count turns odd."""
-    blocks = greedy_split(residue, k)
-    if any(blocks.count(b) % 2 for b in blocks):
-        return blocks
-    first, last = list(blocks[0].exponents), list(blocks[-1].exponents)
-    x = blocks[0].live_indices()[0]
-    y = blocks[-1].live_indices()[-1]
-    first[x], first[y] = first[x] - 1, first[y] + 1
-    last[x], last[y] = last[x] + 1, last[y] - 1
-    return [Monomial(tuple(first))] + blocks[1:-1] + [Monomial(tuple(last))]
-
-
-def _build_split(inst: KInstance):
-    """The alternating-sign identity for k blocks of the residue.
-
-    For k = 3 and the residue x_a x_b x_c x_d x_e^2 the blocks are x_a x_b,
-    x_c x_d and x_e^2, and the identity is root-of-unity averaging of x*y*z,
-    which has the same four summands."""
-    residue, cofactor = reduce_mod_k(inst)
-    if _cube_pattern(inst) == (4, 1):
-        nv = residue.nvars
-        (a, b, c, d), (e,) = _slots(inst, 1), _slots(inst, 2)
-        images = [_unit(nv, a) * _unit(nv, b), _unit(nv, c) * _unit(nv, d), _unit(nv, e, 2)]
-        return _grouped(monomial_linear_decomp((1, 1, 1)), images, cofactor)
-    return _grouped(product_linear(inst.k), _split_blocks(residue, inst.k), cofactor)
-
-
-def _build_reduced_rank(inst: KInstance):
-    """Root-of-unity averaging over the residue's variables in position
-    order, except that for k = 3 the residue-1 variable of x*y^2 comes first."""
-    residue, cofactor = reduce_mod_k(inst)
-    live = residue.live_indices()
-    if inst.k == 3:
-        live = sorted(live, key=lambda i: residue.exponents[i])
-    base = monomial_linear_decomp(tuple(residue.exponents[i] for i in live))
-    return _grouped(base, [_unit(residue.nvars, i) for i in live], cofactor)
-
-
-def _build_cube_grouping(inst: KInstance):
-    """The residue R as X * Y^2 through x*y^2, with Y the product of the last
-    d residue-2 variables (d = deg R / 3) and X = R / Y^2."""
-    residue, cofactor = reduce_mod_k(inst)
-    y = [0] * residue.nvars
-    for i in _slots(inst, 2)[-(residue.degree // 3):]:
-        y[i] = 1
-    x = tuple(r - 2 * b for r, b in zip(residue.exponents, y))
-    images = [Monomial(x), Monomial(tuple(y))]
-    return _grouped(monomial_linear_decomp((1, 2)), images, cofactor)
 
 
 def _build_x4yz(inst: KInstance):
@@ -254,26 +258,16 @@ def _build_x4yz(inst: KInstance):
     n = list(reduce_mod_k(inst)[1].exponents)
     n[big] -= 1
     images = [_unit(nv, big), _unit(nv, a), _unit(nv, b)]
-    return _grouped(special_x04x1x2(), images, Monomial(tuple(n)))
+    return multiply_cert(group_substitute(special_x04x1x2(), images), Monomial(tuple(n)))
 
 
 # Every rule, in trace order.  A rule applies where its bound is not None.
 RULES = (
     Rule("pure-power", "kth-power-of-a-monomial", "exact",
-         lambda inst: None if _residue(inst) else 1,
-         lambda inst: trivial_cert(inst.monomial, inst.k)),
-    Rule("two-square", "two-square-identity", "upper",
-         lambda inst: 2 if inst.k == 2 and _residue(inst) else None, _build_two_square),
-    Rule("generic-split", "k-block-splitting-bound", "upper",
-         lambda inst: 2 ** (inst.k - 1) if inst.k > 2 and _residue(inst) else None,
-         _build_split),
-    Rule("binary-residue-bound", "monomial-rank-formula-after-reduction", "upper",
-         partial(_reduced_rank, binary=True), _build_reduced_rank),
-    Rule("reduced-rank-formula", "monomial-rank-formula-after-reduction", "upper",
-         partial(_reduced_rank, binary=False), _build_reduced_rank),
-    Rule("cube-grouping", "two-block-grouping-after-reduction", "upper",
-         lambda inst: 3 if _cube_pattern(inst) in ((0, 3), (2, 2), (1, 4)) else None,
-         _build_cube_grouping),
+         lambda inst: None if _residue(inst) else 1),
+    Rule("block-grouping", "monomial-rank-formula-over-blocks", "upper",
+         lambda inst: monomial_rank(_grouping(inst)[0]), _build_grouping),
+    # after grouping, which ties it, so that x^4 y z keeps the three-cube build
     Rule("x4yz-cube-route", "three-cube-product-route", "upper",
          lambda inst: None if _big_slot(inst) is None else 3, _build_x4yz),
     # rank 2 forces a two-square shape, which exists only for k = 2

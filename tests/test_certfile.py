@@ -27,8 +27,6 @@ from kwaring.decomp import (
     monomial_linear_decomp,
     product_linear,
     special_x04x1x2,
-    trivial_cert,
-    two_square,
     verify,
 )
 from kwaring.polynomials import Monomial, Polynomial
@@ -41,8 +39,8 @@ from test_verify_kernels import GOLDEN_DIR, corrupted
 
 def sample_certs():
     return [
-        trivial_cert(Monomial((4, 2)), 2),
-        two_square(Monomial((3, 1))),
+        decompose(KInstance(Monomial((4, 2)), 2)),
+        decompose(KInstance(Monomial((3, 1)), 2)),
         product_linear(3),
         monomial_linear_decomp((2, 2)),
         monomial_linear_decomp((1, 1, 2)),
@@ -150,7 +148,7 @@ def test_trailing_content_rejected():
 
 
 def test_noncanonical_term_order_rejected():
-    cert = two_square(Monomial((3, 1)))
+    cert = decompose(KInstance(Monomial((3, 1)), 2))
     text = serialize(cert)
     lines = text.splitlines(keepends=True)
     idx = [i for i, line in enumerate(lines) if line.startswith("term: ")]

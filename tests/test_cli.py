@@ -17,7 +17,7 @@ import pytest
 from kwaring import rank
 from kwaring.certfile import parse
 from kwaring.cli import main, parse_monomial
-from kwaring.decomp import greedy_split, verify
+from kwaring.decomp import verify
 from kwaring.polynomials import Monomial
 from kwaring.search import SearchProblem, search
 
@@ -87,13 +87,15 @@ def test_decompose_to_file_then_verify(tmp_path, capsys):
     assert "verified: x0^4*x1^1*x2^1 (3 summands, k=3)" in out
 
 
-def test_decompose_repaired_split_and_internal_fault_exit_code(monkeypatch, capsys):
-    # greedy_split pairs up every block of x0^4 x1^4 x2^4 at k = 6; decompose
-    # moves one unit so that no form of the alternating-sign identity vanishes
+def test_decompose_internal_fault_exit_code(monkeypatch, capsys):
+    # x0^4 x1^4 x2^4 at k = 6 groups as (x0 x1)^4 (x2^2)^2
     assert main(["decompose", "-k", "6", "4,4,4"]) == 0
-    assert parse(capsys.readouterr().out).summand_count == 32
-    # with the plain greedy split a form vanishes: a fault of decompose, so exit 3
-    monkeypatch.setattr(rank, "_split_blocks", greedy_split)
+    assert parse(capsys.readouterr().out).summand_count == 5
+    # six blocks that pair up: a form of the averaging identity vanishes, a
+    # fault of decompose, so exit 3
+    blocks = [Monomial(e) for e in ((2, 0, 0), (2, 0, 0), (0, 2, 0), (0, 2, 0),
+                                    (0, 0, 2), (0, 0, 2))]
+    monkeypatch.setattr(rank, "_grouping", lambda inst: ((1,) * 6, blocks))
     assert main(["decompose", "-k", "6", "4,4,4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -273,8 +275,20 @@ def test_table_rows_are_pinned(capsys):
     assert main(["table", "-k", "4", "-n", "4", "--max-degree", "12"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "8e4e4498557096150baa6a20d7798b67b9676d87ea5234f0f72a68090b0d9e0c"
+        "3b7e3a3bc484553bb6880016c5a89b1f2630fe5910c38e9b1259a518902af2a0"
     )
+
+
+def test_table_counts_over_the_atlas_scope(capsys):
+    # k = 2..6, at most 4 variables, degree up to 3k: 310 rows, of which 219
+    # are open, and the sum of upper - lower over them is 791
+    rows = []
+    for k in range(2, 7):
+        assert main(["table", "-k", str(k), "-n", "4", "--max-degree", str(3 * k)]) == 0
+        rows += [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 310
+    assert sum(status == "open" for *_, status in rows) == 219
+    assert sum(int(upper) - int(lower) for _, lower, upper, _ in rows) == 791
 
 
 def test_table_lists_only_partitions_with_many_variables():

@@ -15,17 +15,13 @@ from kwaring.decomp import (
     Certificate,
     CertificateError,
     MalformedCertificateError,
-    PerfectSquareError,
     decompose,
-    greedy_split,
     group_substitute,
     monomial_linear_decomp,
     multiply_cert,
     product_linear,
     special_x04x1x2,
     specialize_cert,
-    trivial_cert,
-    two_square,
     verify,
 )
 from kwaring.polynomials import Monomial, Polynomial
@@ -37,45 +33,34 @@ from test_verify_kernels import corrupted
 
 
 def test_trivial_cert():
-    cert = trivial_cert(Monomial((4, 2)), 2)
+    # a pure power M = N^k is one summand, grouping with the pattern (k)
+    cert = decompose(KInstance(Monomial((4, 2)), 2))
     assert cert.summand_count == 1 and cert.verified
     assert cert.summands[0][1].terms == {(2, 1): EMPTY_TOWER.one()}
-    with pytest.raises(ValueError):
-        trivial_cert(Monomial((3, 2)), 2)
-
-
-def test_greedy_split():
-    parts = greedy_split(Monomial((3, 1)), 2)
-    assert [p.exponents for p in parts] == [(2, 0), (1, 1)]
-    parts = greedy_split(Monomial((2, 2, 2)), 3)
-    assert [p.exponents for p in parts] == [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-    with pytest.raises(ValueError):
-        greedy_split(Monomial((1, 1, 1)), 2)
 
 
 def test_two_square_default_split():
-    cert = two_square(Monomial((3, 1)))
+    # x0^3 x1 = X*Y with X = x0^2, Y = x0 x1: (1/4)(X+Y)^2 - (1/4)(X-Y)^2
+    cert = decompose(KInstance(Monomial((3, 1)), 2))
     assert cert.k == 2 and cert.summand_count == 2 and cert.verified
     scalars = sorted(s.rational_value() for s, _ in cert.summands)
     assert scalars == [Q(-1, 4), Q(1, 4)]
+    x, y = (Polynomial.monomial(EMPTY_TOWER, e, 1) for e in ((2, 0), (1, 1)))
+    assert {form for _, form in cert.summands} == {x + y, x - y}
 
 
 def test_two_square_explicit_split_on_even_exponents():
-    cert = two_square(
-        Monomial((2, 2)), split=(Monomial((2, 0)), Monomial((0, 2)))
-    )
+    cert = group_substitute(product_linear(2), [Monomial((2, 0)), Monomial((0, 2))])
     assert cert.verified and cert.summand_count == 2
-
-
-def test_two_square_rejections():
+    assert cert.target == Monomial((2, 2))
+    # a split into blocks of unequal degree is refused, and equal blocks
+    # cancel a form, which verify refuses as malformed
     with pytest.raises(CertificateError):
-        two_square(Monomial((2, 1)))  # odd degree
-    with pytest.raises(PerfectSquareError):
-        two_square(Monomial((2, 2)))  # default split of a perfect square
-    with pytest.raises(PerfectSquareError):
-        two_square(Monomial((2, 2)), split=(Monomial((1, 1)), Monomial((1, 1))))
+        group_substitute(product_linear(2), [Monomial((2, 0)), Monomial((1, 1, 0))])
     with pytest.raises(CertificateError):
-        two_square(Monomial((2, 2)), split=(Monomial((2, 0)), Monomial((1, 1))))
+        group_substitute(product_linear(2), [Monomial((2, 1)), Monomial((1, 1))])
+    with pytest.raises(MalformedCertificateError):
+        group_substitute(product_linear(2), [Monomial((1, 1)), Monomial((1, 1))])
 
 
 def test_product_linear_counts_and_scalars():
@@ -277,14 +262,14 @@ def test_specialize_cert_rejects_vanishing_form():
 
 
 def test_multiply_cert():
-    base = two_square(Monomial((1, 1)))
+    base = product_linear(2)
     cert = multiply_cert(base, Monomial((1, 2)))
     assert cert.verified and cert.target.exponents == (3, 5)
     assert multiply_cert(base, Monomial((0, 0))) is base
 
 
 def test_group_substitute_keeps_arity_of_a_cancelled_form():
-    base = two_square(Monomial((1, 1)))  # forms x0 + x1 and x0 - x1
+    base = product_linear(2)  # forms x0 + x1 and x0 - x1
     with pytest.raises(MalformedCertificateError, match="nonzero homogeneous"):
         group_substitute(base, [Monomial((1,)), Monomial((1,))])
 
@@ -316,7 +301,7 @@ def test_exact_point_checks():
     single-digit corruption of it."""
     rng = random.Random(5)
     certs = [
-        two_square(Monomial((3, 1))),
+        decompose(KInstance(Monomial((3, 1)), 2)),
         product_linear(3),
         special_x04x1x2(),
         monomial_linear_decomp((2, 2)),
@@ -410,7 +395,7 @@ NAMED_DECOMPOSE_CASES = [
     ((1, 2, 2, 2, 2), 3, 3),
     ((1, 3), 2, 2),
     ((6, 3), 3, 1),
-    ((4, 4, 4), 6, 32),
+    ((4, 4, 4), 6, 5),
 ]
 
 

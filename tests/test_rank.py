@@ -8,12 +8,12 @@ import random
 
 import pytest
 
-from kwaring.decomp import greedy_split
+from kwaring.cli import _nondecreasing_tuples
 from kwaring.polynomials import Monomial
 from kwaring.rank import (
     RULES,
     KInstance,
-    _split_blocks,
+    _grouping,
     attaining_rule,
     classify,
     compare_bounds,
@@ -157,10 +157,12 @@ def test_lower_bound_cases():
 
 
 def test_upper_bound_generic_rule():
-    # the generic 2^(k-1) split bound is attained by x0*...*x5 at k = 6
+    # the generic 2^(k-1) bound is grouping with a = (1, ..., 1), attained by
+    # x0*...*x5 at k = 6, where the blocks are the variables
     b = classify(KInstance(Monomial((1, 1, 1, 1, 1, 1)), 6))
     assert b.upper <= 2 ** 5
-    assert any(r.rule == "generic-split" and r.bound == 32 for r in b.trace)
+    assert any(r.rule == "block-grouping" and r.bound == 32 for r in b.trace)
+    assert _grouping(KInstance(Monomial((1, 1, 1, 1, 1, 1)), 6))[0] == (1,) * 6
 
 
 def test_classify_trace_is_consistent():
@@ -176,16 +178,14 @@ def test_classify_trace_is_consistent():
 
 # (exponents, k, the rule decompose builds with); ties go to the later rule
 ATTAINING_CASES = [
-    ((6, 3), 3, "pure-power"),
-    ((1, 3), 2, "two-square"),
-    ((2, 4), 3, "binary-residue-bound"),
-    ((1, 3), 4, "binary-residue-bound"),
-    ((1, 1, 1), 3, "reduced-rank-formula"),
-    ((1, 1, 1, 1), 4, "reduced-rank-formula"),
-    ((1, 1, 1, 1, 2), 3, "generic-split"),
-    ((3, 2, 2, 1), 4, "generic-split"),
-    ((2, 2, 2), 3, "cube-grouping"),
+    ((6, 3), 3, "block-grouping"),
+    ((1, 3), 2, "block-grouping"),
+    ((2, 4), 3, "block-grouping"),
+    ((1, 1, 1, 1, 2), 3, "block-grouping"),
+    ((3, 2, 2, 1), 4, "block-grouping"),
+    ((2, 2, 2), 3, "block-grouping"),
     ((4, 1, 1), 3, "x4yz-cube-route"),
+    ((4, 4, 1), 3, "x4yz-cube-route"),
 ]
 
 
@@ -203,23 +203,66 @@ def test_trace_follows_the_table_and_names_the_construction():
         assert attaining_rule(classify(KInstance(Monomial(exps), k))).name == name, (exps, k)
 
 
-def test_split_blocks_leave_a_block_of_odd_count():
-    # greedy_split pairs every block up on these residues
-    for exps, k in [((4, 4, 4), 6), ((4, 4, 4, 4), 8), ((6, 6, 6, 6), 8)]:
-        residue = Monomial(exps)
-        greedy = greedy_split(residue, k)
-        assert not any(greedy.count(b) % 2 for b in greedy), (exps, k)
-        blocks = _split_blocks(residue, k)
-        assert len(blocks) == k
-        assert len({b.degree for b in blocks}) == 1
-        product = blocks[0]
-        for b in blocks[1:]:
-            product = product * b
-        assert product == residue, (exps, k)
-        assert any(blocks.count(b) % 2 for b in blocks), (exps, k)
-    # elsewhere the greedy split is kept as it is
-    for exps, k in [((3, 2, 2, 1), 4), ((1, 1, 1, 1, 1, 1), 3), ((2, 2, 2, 2), 4)]:
-        assert _split_blocks(Monomial(exps), k) == greedy_split(Monomial(exps), k)
+def test_grouping_blocks_are_distinct():
+    # the k blocks of these residues pair up; equal blocks merge into one
+    # block of twice the power, so the pattern found has distinct blocks
+    for exps, k, pattern in [((4, 4, 4), 6, (4, 2)), ((4, 4, 4, 4), 8, (4, 4)),
+                             ((6, 6, 6, 6), 8, (6, 2))]:
+        a, blocks = _grouping(KInstance(Monomial(exps), k))
+        assert a == pattern, (exps, k)
+        assert len(set(blocks)) == len(blocks) == len(a)
+        assert {b.degree for b in blocks} == {sum(exps) // k}
+        product = Monomial((0,) * len(exps))
+        for block, power in zip(blocks, a):
+            product = product * block ** power
+        assert product == Monomial(exps), (exps, k)
+
+
+def _grouping_oracle(exps, k) -> int:
+    """The least rank of prod y_i^(a_i) over every partition a of k and every
+    tuple of degree-d monomials B_i with prod B_i^(a_i) = x^exps, equal
+    blocks merged."""
+    d, nv = sum(exps) // k, len(exps)
+    monomials = [m for m in itertools.product(range(d + 1), repeat=nv) if sum(m) == d]
+    best = None
+    for parts in range(1, k + 1):
+        for a in itertools.product(range(1, k + 1), repeat=parts):
+            if sum(a) != k or list(a) != sorted(a):
+                continue
+            for blocks in itertools.product(monomials, repeat=parts):
+                if tuple(map(sum, zip(*[[p * e for e in b] for p, b in zip(a, blocks)]))) != exps:
+                    continue
+                merged = {}
+                for p, b in zip(a, blocks):
+                    merged[b] = merged.get(b, 0) + p
+                rank = monomial_rank(tuple(merged.values()))
+                best = rank if best is None else min(best, rank)
+    return best
+
+
+def test_block_grouping_against_brute_force():
+    # every instance with at most 3 variables, k <= 4 and degree <= 3k
+    checked = 0
+    for k in range(2, 5):
+        for degree in range(k, 3 * k + 1, k):
+            for exps in _nondecreasing_tuples(3, degree):
+                inst = KInstance(Monomial(exps), k)
+                bound = next(r.bound for r in classify(inst).trace if r.rule == "block-grouping")
+                assert bound == _grouping_oracle(exps, k), (exps, k)
+                checked += 1
+    assert checked == 68
+
+
+def test_k3_is_exact_in_three_variables_and_in_four_but_one():
+    # the paper's k = 3 classification, to degree 30; the one open instance
+    # in four variables is x y z w^3, at [3, 4]
+    open_rows = []
+    for degree in range(3, 31, 3):
+        for exps in _nondecreasing_tuples(4, degree):
+            b = classify(KInstance(Monomial(exps), 3))
+            if not b.exact:
+                open_rows.append((exps, b.lower, b.upper))
+    assert open_rows == [((1, 1, 1, 3), 3, 4)]
 
 
 def test_classify_permutation_and_padding_invariance():

@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from kwaring.decomp import special_x04x1x2, two_square
+from kwaring.decomp import decompose, special_x04x1x2
 from kwaring.polynomials import Monomial
+from kwaring.rank import KInstance
 from kwaring.search import (
     SearchProblem,
     gradient,
@@ -63,7 +64,7 @@ def test_exact_certificate_has_negligible_residual():
     params = params_from_certificate(p, cert)
     assert residual(p, params) < 1e-20
 
-    sq = two_square(Monomial((3, 1)))
+    sq = decompose(KInstance(Monomial((3, 1)), 2))
     p2 = SearchProblem(Monomial((3, 1)), 2, 2)
     assert residual(p2, params_from_certificate(p2, sq)) < 1e-20
 

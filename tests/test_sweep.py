@@ -3,9 +3,7 @@ classify's upper bound, and classify plus the certificate bytes reproduce a
 pinned digest.
 
 The sweep is k = 2..6, 1-4 variables with positive exponents, degree k and
-2k (515 instances).  The digest was taken before decompose could split
-x0^4 x1^4 x2^4 at k = 6 (``REPAIRED``); that instance is checked for its
-summand count only.
+2k (515 instances).
 """
 
 import hashlib
@@ -16,8 +14,7 @@ from kwaring.decomp import decompose
 from kwaring.polynomials import Monomial
 from kwaring.rank import KInstance, classify
 
-SWEEP_SHA256 = "0c6ce2eeb3e7f3808cb4e2b5cea8740e5cbdb5c85f828c7d57833eab8b46e8a1"
-REPAIRED = [(6, (4, 4, 4))]
+SWEEP_SHA256 = "8379fae315a7499544e57935ac3b9863e3b3ac4f54a7ad36caa86137d865ee79"
 
 
 def sweep():
@@ -47,9 +44,8 @@ def digest(instances) -> str:
 
 def test_sweep_decomposes_and_reproduces_the_pinned_digest():
     instances = list(sweep())
-    assert len(instances) == 515 and set(REPAIRED) <= set(instances)
-    assert digest(i for i in instances if i not in REPAIRED) == SWEEP_SHA256
-    digest(REPAIRED)
+    assert len(instances) == 515
+    assert digest(instances) == SWEEP_SHA256
 
 
 if __name__ == "__main__":

@@ -120,12 +120,12 @@ def _expansion_work(cert) -> int:
 
 
 def test_kernels_agree_on_the_sweep():
-    """The 103 sweep certificates of expansion work below 768 and a seeded
+    """The 137 sweep certificates of expansion work below 768 and a seeded
     single-digit corruption of each."""
     rng = random.Random(103)
     certs = [decompose(KInstance(Monomial(exps), k)) for k, exps in sweep()]
     small = [cert for cert in certs if _expansion_work(cert) < 768]
-    assert len(small) == 103
+    assert len(small) == 137
     for cert in small:
         text = serialize(cert)
         assert_agree(text, True)
@@ -225,7 +225,7 @@ def _polarized_product():
 @pytest.mark.parametrize("build", [
     lambda: _cert(EMPTY_TOWER, 1, 4, (4,), [(EMPTY_TOWER.scalar(Q(1, 2)),
                                              Polynomial.variable(EMPTY_TOWER, 1, 0))] * 2),
-    lambda: decomp.two_square(Monomial((1, 1))),
+    lambda: decompose(KInstance(Monomial((1, 1)), 2)),
     lambda: monomial_linear_decomp((1, 2, 2)),
     lambda: product_linear(5),
     _polarized_product,
@@ -379,14 +379,33 @@ def test_primes_are_distinct_and_below_the_limit():
 @pytest.mark.parametrize("tower", [EMPTY_TOWER, _sqrt_tower()], ids=["Q", "sqrt"])
 def test_split_primes_cover_the_height(tower):
     """The fewest split primes whose product exceeds the height: a product
-    of two primes needs a third.  The arrays for a prime count are kept on
-    the structure."""
+    of two primes needs a third.  The primes found are kept on the
+    structure."""
     ring = tower.integer_structure()
     two = prod(p for p, _ in ring.split_primes(2))
     for height, count in ((1, 1), (two - 1, 2), (two, 3)):
         primes = ring.split_primes_above(height)[0]
         assert len(primes) == count and prod(primes) > height
-        assert ring.split_primes_above(height) is ring.split_primes_above(height)
+        assert ring.split_primes_above(height)[0] == primes == tuple(ring._primes[:count])
+
+
+def test_split_prime_matrices_are_views_of_one_stacked_array():
+    """After one verify over the 144-element tower of the roots of unity of
+    orders 5, 7 and 9, its structure holds each evaluation matrix once: the
+    matrices of ``split_primes`` and the stack of ``split_primes_above`` are
+    views of one array."""
+    tower = roots_of_unity_tower([5, 7, 9])
+    z0, z1 = (Polynomial.variable(tower, 2, j) for j in range(2))
+    cert = _cert(tower, 2, 2, (1, 1), [(tower.scalar(Q(1, 4)), z0 + z1),
+                                       (tower.scalar(Q(-1, 4)), z0 - z1)])
+    assert verify(cert) is True
+    ring = tower.integer_structure()
+    count = len(ring._primes)
+    assert ring._points.shape == (count, 144, 144)
+    for p, matrix in ring.split_primes(count):
+        assert matrix.shape == (144, 144) and np.shares_memory(matrix, ring._points)
+    primes, _, points = ring.split_primes_above(prod(ring._primes) - 1)
+    assert len(primes) == count and np.shares_memory(points, ring._points)
 
 
 def test_split_prime_arrays_live_as_long_as_their_tower():

@@ -36,7 +36,6 @@ from kwaring.decomp import (
     monomial_linear_decomp,
     product_linear,
     special_x04x1x2,
-    two_square,
     verify,
 )
 from kwaring.polynomials import Monomial, Polynomial
@@ -207,10 +206,19 @@ def _two_square_identity(tower, rng):
     return _with_cancelling_pairs(cert, rng)
 
 
+def _two_square_31():
+    """x0^3 x1 = (1/4)(X + Y)^2 - (1/4)(X - Y)^2 with X = x0^2, Y = x0 x1,
+    over the tower i^2 = -1 of the two-square identity."""
+    tower = EMPTY_TOWER.extend("i", (Q(1), Q(0), Q(1)))
+    x, y = (Polynomial.monomial(tower, e, 1) for e in ((2, 0), (1, 1)))
+    return Certificate(("x0", "x1"), 2, Monomial((3, 1)), tower,
+                       ((tower.scalar(Q(1, 4)), x + y), (tower.scalar(Q(-1, 4)), x - y)))
+
+
 TRUE_CERTS = {
     "product_linear(3)": lambda rng: product_linear(3),
     "product_linear(4)": lambda rng: product_linear(4),
-    "two_square(3,1)": lambda rng: two_square(Monomial((3, 1))),
+    "two_square(3,1)": lambda rng: _two_square_31(),
     "decompose k=3 (2,2,2)": lambda rng: decompose(KInstance(Monomial((2, 2, 2)), 3)),
     "special_x04x1x2": lambda rng: special_x04x1x2(),
     "grid (1, 2)": lambda rng: monomial_linear_decomp((1, 2)),
