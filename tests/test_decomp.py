@@ -53,6 +53,11 @@ def test_two_square_explicit_split_on_even_exponents():
     cert = group_substitute(product_linear(2), [Monomial((2, 0)), Monomial((0, 2))])
     assert cert.verified and cert.summand_count == 2
     assert cert.target == Monomial((2, 2))
+
+
+def test_two_square_rejections():
+    with pytest.raises(ValueError, match="does not divide"):
+        KInstance(Monomial((2, 1)), 2)  # odd degree
     # a split into blocks of unequal degree is refused, and equal blocks
     # cancel a form, which verify refuses as malformed
     with pytest.raises(CertificateError):
