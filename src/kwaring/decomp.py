@@ -28,7 +28,8 @@ The constructions:
 
   where w_i is a primitive m_i-th root of unity, D = deg x^a and
   c = multinomial(D; a) * prod m_i.  Exactly prod m_i summands, which is the
-  monomial's rank in powers of linear forms.
+  monomial's rank in powers of linear forms.  It is built once per exponent
+  tuple and kept; every call verifies a fresh copy.
 * ``product_linear``: the averaging for x0...x(k-1), whose roots are +-1:
   k! 2^(k-1) X1...Xk = sum over sign vectors e in {1} x {+-1}^(k-1) of
   (prod e_i) (X1 + e_2 X2 + ... + e_k Xk)^k.
@@ -39,11 +40,13 @@ The constructions:
   identification, and multiplication by N (N^k times a certificate for M is
   a certificate for N^k M).  Each one only moves the exponents of every
   form's terms (``Polynomial.map_exponents``), does no tower arithmetic, and
-  builds its result through ``_transformed``.
+  builds its result through ``_transformed``; ``group_substitute`` computes
+  each exponent tuple's image once for all the forms.
 * ``decompose``: the full pipeline, which builds with the rank rule that
   attains classify's upper bound (see ``rank.RULES``): block grouping,
   ``group_substitute`` of an averaging certificate, or the three-cube
-  route.
+  route.  It searches blocks once and verifies every certificate it
+  returns: a grouping build twice, the averaging copy and its substitution.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import EMPTY_TOWER, NAME_RE, RingElement, roots_of_unity_tower, unity_root
-from .polynomials import Monomial, Polynomial, multinomial_table
+from .polynomials import Monomial, Polynomial, multinomial_table, substitution
 from .rationals import Q, is_rational
 
 
@@ -353,9 +356,9 @@ class _SplitPlan(NamedTuple):
     position: np.ndarray
 
 
-# Plans, output plans and multinomial residues kept, one per (t, k),
-# (supports, k) and (t, k, primes).  Output plans have the most keys, 100-104
-# in a decompose-sweep run (seeds 1-13).
+# Plans, output plans, multinomial residues and averaging certificates kept,
+# one per (t, k), (supports, k), (t, k, primes) and exponent tuple.  Output
+# plans have the most keys, 100-104 in a decompose-sweep run (seeds 1-13).
 PLAN_CACHE_SIZE = 128
 
 
@@ -497,11 +500,18 @@ def monomial_linear_decomp(exponents) -> Certificate:
     """Root-of-unity averaging decomposition of x^a into powers of linear forms.
 
     The summand count equals monomial_rank(exponents); the certificate's k is
-    the total degree (forms are linear).
+    the total degree (forms are linear).  Built once per exponent tuple
+    (``_averaging``); each call verifies a fresh copy.
     """
-    exps = tuple(int(e) for e in exponents)
-    if not exps or any(e < 1 for e in exps):
-        raise CertificateError("exponents must be positive")
+    exps = tuple(exponents)
+    if not exps or any(int(e) != e or e < 1 for e in exps):
+        raise CertificateError(f"exponents must be positive integers: {exps!r}")
+    return _must_verify(replace(_averaging(tuple(map(int, exps)))))
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _averaging(exps: tuple) -> Certificate:
+    """The unverified averaging certificate of x^exps; callers copy it."""
     degree = sum(exps)
     nv = len(exps)
     i0 = exps.index(min(exps))
@@ -531,7 +541,7 @@ def monomial_linear_decomp(exponents) -> Certificate:
         for m, e in shift.items():
             weight = weight * powers[m][e % m]
         summands.append((weight, Polynomial(tower, nv, terms)))
-    cert = Certificate(
+    return Certificate(
         variables=default_names(nv),
         k=degree,
         target=Monomial(exps),
@@ -541,7 +551,6 @@ def monomial_linear_decomp(exponents) -> Certificate:
             f"root-of-unity averaging for exponents {exps}, anchor position {i0}",
         ),
     )
-    return _must_verify(cert)
 
 
 def special_x04x1x2() -> Certificate:
@@ -601,11 +610,11 @@ def group_substitute(cert: Certificate, images) -> Certificate:
     for img in images:
         if img.degree != level or img.nvars != out_nv:
             raise CertificateError("images must share one degree and variable set")
-    target = Monomial((0,) * out_nv)
-    for img, e in zip(images, cert.target.exponents):
-        target = target * img ** e
-    return _transformed(cert, default_names(out_nv), target,
-                        lambda form: form.substitute(images),
+    image = substitution(images)[1]  # once per exponent tuple, for all forms
+    support = set(chain.from_iterable(form.terms for _, form in cert.summands))
+    moved = {e: image(e) for e in support}
+    return _transformed(cert, default_names(out_nv), Monomial(image(cert.target.exponents)),
+                        lambda form: form.map_exponents(moved.__getitem__, out_nv),
                         f"group-substitute {', '.join(m.text() for m in images)}")
 
 

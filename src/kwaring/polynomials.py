@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from math import comb, factorial
+from operator import mul
 
 import numpy as np
 
@@ -27,7 +28,10 @@ class Monomial:
     exponents: tuple
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        given = tuple(self.exponents)
+        exps = tuple(map(int, given))
+        if exps != given:
+            raise ValueError(f"exponents must be integers: {given!r}")
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be non-negative")
         object.__setattr__(self, "exponents", exps)
@@ -40,19 +44,8 @@ class Monomial:
     def nvars(self) -> int:
         return len(self.exponents)
 
-    def live_indices(self) -> tuple:
-        return tuple(i for i, e in enumerate(self.exponents) if e > 0)
-
     def is_one(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-    def is_kth_power(self, k: int) -> bool:
-        return all(e % k == 0 for e in self.exponents)
-
-    def kth_root(self, k: int) -> "Monomial":
-        if not self.is_kth_power(k):
-            raise ValueError("not a k-th power")
-        return Monomial(tuple(e // k for e in self.exponents))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if len(other.exponents) != len(self.exponents):
@@ -97,6 +90,16 @@ def multinomial_table(n: int, k: int):
     factorials = np.array([factorial(b) for b in range(k + 1)], dtype=object)
     multinomials = tuple((factorials[k] // factorials[counts].prod(axis=1)).tolist())
     return positions, counts, multinomials
+
+
+def substitution(images):
+    """The exponent map of x_i -> images[i] for monomials ``images`` over one
+    variable count n: (n, e -> the exponents of prod images[i]^e[i])."""
+    counts = {img.nvars for img in images}
+    if len(counts) > 1:
+        raise ValueError("images disagree on variable count")
+    rows = tuple(zip(*(img.exponents for img in images)))
+    return (counts.pop() if counts else 0), lambda e: tuple(sum(map(mul, e, r)) for r in rows)
 
 
 def _order_key(e):
@@ -243,20 +246,7 @@ class Polynomial:
         """
         if len(images) != self.nvars:
             raise ValueError(f"{len(images)} images for {self.nvars} variables")
-        counts = {img.nvars for img in images}
-        if len(counts) > 1:
-            raise ValueError("images disagree on variable count")
-        out_nvars = counts.pop() if counts else 0
-        columns = [img.exponents for img in images]
-
-        def image(e):
-            out = [0] * out_nvars
-            for a, column in zip(e, columns):
-                if a:
-                    for j, f in enumerate(column):
-                        out[j] += a * f
-            return tuple(out)
-
+        out_nvars, image = substitution(images)
         return self.map_exponents(image, out_nvars)
 
     def specialize(self, identifications: dict) -> "Polynomial":

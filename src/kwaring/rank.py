@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import prod
 from operator import itemgetter, mul, sub
@@ -86,8 +87,8 @@ KNOWN_QUARTIC_BINARY = {(1, 3): 4, (1, 7): 4, (3, 5): 4}
 
 def monomial_rank(exponents) -> int:
     """Exact rank of x^a as a sum of deg(x^a)-th powers of linear forms."""
-    exps = tuple(int(e) for e in exponents)
-    if not exps or any(e < 1 for e in exps):
+    exps = Monomial(exponents).exponents
+    if not exps or min(exps) < 1:
         raise ValueError("exponents must be positive")
     a_min = min(exps)
     num = prod(e + 1 for e in exps)
@@ -221,15 +222,17 @@ def _blocks(exponents: tuple, a: tuple, d: int):
         return None
     splits = iter(path)
     columns = [next(splits) if e else (0,) * len(a) for e in exponents]
-    return [Monomial(block) for block in zip(*columns)]
+    return tuple(map(Monomial, zip(*columns)))
 
 
+# one entry: classify's bound and the build share it within one decompose
+@lru_cache(maxsize=1)
 def _grouping(inst: KInstance):
     """(a, blocks): the pattern a, a partition of k, of least ``monomial_rank``
-    for which M = prod B_i^(a_i) with degree-d blocks B_i; ties go to the
-    earlier pattern in reverse lexicographic order.  Some pattern applies,
-    since every monomial splits into k blocks, a = (1, ..., 1).  The blocks
-    are distinct: equal blocks merge into a pattern of smaller rank."""
+    for which M = prod B_i^(a_i) with a tuple of degree-d blocks B_i; ties go
+    to the earlier pattern in reverse lexicographic order.  Some pattern
+    applies, since every monomial splits into k blocks, a = (1, ..., 1).  The
+    blocks are distinct: equal blocks merge into a pattern of smaller rank."""
     d = inst.monomial.degree // inst.k
     for _, a in sorted(_patterns(inst.k, inst.k), key=itemgetter(0)):
         blocks = _blocks(inst.monomial.exponents, a, d)

@@ -6,9 +6,11 @@ checked against the rank formula and the classifier; the reference checker
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from kwaring import rank
 from kwaring.algebra import EMPTY_TOWER, ExtensionTower, RingElement
 from kwaring.certfile import serialize
 from kwaring.decomp import (
@@ -105,6 +107,27 @@ def test_monomial_linear_decomp_matches_rank_formula():
 def test_monomial_linear_decomp_degree_one():
     cert = monomial_linear_decomp((1,))
     assert cert.k == 1 and cert.summand_count == 1 and cert.verified
+
+
+def test_monomial_linear_decomp_rejects_fractional_exponents():
+    # (2.7, 1) is not truncated to a verified certificate for x0^2 x1
+    with pytest.raises(CertificateError, match="integers"):
+        monomial_linear_decomp((2.7, 1))
+    assert serialize(monomial_linear_decomp((2.0, 1))) == serialize(monomial_linear_decomp((2, 1)))
+
+
+def test_averaging_cache_hands_out_fresh_verified_certificates():
+    first, second = monomial_linear_decomp((1, 2, 2)), monomial_linear_decomp((1, 2, 2))
+    assert first is not second and first.verified and second.verified
+    text = serialize(first)
+    assert serialize(second) == text
+    assert product_linear(3).provenance == ("alternating-sign product identity, k=3",)
+    # a corrupted copy of a returned certificate leaves the next call intact
+    scalar, form = first.summands[0]
+    bad = replace(first, summands=((scalar, form * 2),) + first.summands[1:])
+    assert not verify(bad)
+    third = monomial_linear_decomp((1, 2, 2))
+    assert third.verified and serialize(third) == text
 
 
 def test_special_three_cube_certificate():
@@ -245,6 +268,39 @@ def test_group_substitute_to_squares():
     assert cert.k == 3
 
 
+# x0 -> x y, x1 -> x^2, x2 -> y^2 sends both x0^2 and x1 x2 to x^2 y^2
+COLLIDING = [Monomial((1, 1)), Monomial((2, 0)), Monomial((0, 2))]
+
+
+def test_group_substitute_merges_colliding_images():
+    base = special_x04x1x2()
+    cert = group_substitute(base, COLLIDING)
+    assert cert.verified and cert.target == Monomial((6, 6))
+    for (_, form), (_, before) in zip(cert.summands, base.summands):
+        assert form == before.substitute(COLLIDING)
+    one, u = base.tower.one(), base.tower.generator_element("u")
+    assert cert.summands[0][1].terms == {(2, 2): u + one}
+    assert cert.summands[1][1].terms == {(2, 2): one - u}
+
+
+def test_group_substitute_drops_cancelled_images():
+    # x1^2 = (x1^2 + x0^2 - x1 x2 + x2^2) + (-x0^2 + x1 x2 - x2^2), k = 1;
+    # x0^2 - x1 x2 cancels in both forms, leaving x^4 + y^4 and -y^4
+    def form(terms):
+        return sum((Polynomial.monomial(EMPTY_TOWER, e, c) for e, c in terms),
+                   Polynomial.zero(EMPTY_TOWER, 3))
+
+    pair = Certificate(("x0", "x1", "x2"), 1, Monomial((0, 2, 0)), EMPTY_TOWER, (
+        (Q(1), form([((0, 2, 0), 1), ((2, 0, 0), 1), ((0, 1, 1), -1), ((0, 0, 2), 1)])),
+        (Q(1), form([((2, 0, 0), -1), ((0, 1, 1), 1), ((0, 0, 2), -1)])),
+    ))
+    cert = group_substitute(pair, COLLIDING)
+    assert cert.verified and cert.target == Monomial((4, 0))
+    for (_, got), (_, before) in zip(cert.summands, pair.summands):
+        assert got == before.substitute(COLLIDING)
+    assert [sorted(f.terms) for _, f in cert.summands] == [[(0, 4), (4, 0)], [(0, 4)]]
+
+
 def test_group_substitute_rejects_mixed_degrees():
     base = monomial_linear_decomp((1, 2))
     with pytest.raises(CertificateError):
@@ -299,6 +355,30 @@ def test_transformers_do_no_tower_arithmetic(monkeypatch):
     cert = multiply_cert(cert, Monomial((1, 0, 2)))
     assert cert.verified and cert.target.exponents == (5, 4, 6)
     assert calls == []
+
+
+def test_one_block_search_per_decompose(monkeypatch):
+    calls = []
+    search = rank._blocks
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(rank, "_blocks", counting)
+    inst = KInstance(Monomial((2, 4, 2, 4)), 6)
+    rank._grouping.cache_clear()
+    classify(inst)
+    alone = len(calls)
+    rank._grouping.cache_clear()
+    calls.clear()
+    assert decompose(inst).target == inst.monomial
+    assert alone > 1 and len(calls) == alone
+    # the next instance searches its own blocks
+    other = KInstance(Monomial((3, 1, 1, 1)), 3)
+    cert = decompose(other)
+    assert cert.target == other.monomial and cert.summand_count == classify(other).upper
+    assert len(calls) > alone and calls[-1][0] == other.monomial.exponents
 
 
 def test_exact_point_checks():

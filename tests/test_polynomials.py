@@ -19,22 +19,19 @@ def test_monomial_basics():
     m = Monomial((2, 0, 3))
     assert m.degree == 5
     assert m.nvars == 3
-    assert m.live_indices() == (0, 2)
     assert not m.is_one() and Monomial((0, 0)).is_one()
     assert m.text() == "x0^2*x2^3"
     assert (m * Monomial((1, 1, 0))).exponents == (3, 1, 3)
     assert (m ** 2).exponents == (4, 0, 6)
 
 
-def test_monomial_kth_root():
-    m = Monomial((4, 2, 0))
-    assert m.is_kth_power(2)
-    assert m.kth_root(2).exponents == (2, 1, 0)
-    assert not m.is_kth_power(3)
-    with pytest.raises(ValueError):
-        m.kth_root(3)
+def test_monomial_rejects_bad_exponents():
     with pytest.raises(ValueError):
         Monomial((1, -1))
+    # a fractional exponent is refused, not truncated to x0 x1^2
+    with pytest.raises(ValueError, match="integers"):
+        Monomial((1.5, 2))
+    assert Monomial((2.0, 1)).exponents == (2, 1)
 
 
 def _x(tower, nvars, i):

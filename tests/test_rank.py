@@ -66,6 +66,9 @@ def test_monomial_rank_rejects_bad_input():
         monomial_rank((2, 0))
     with pytest.raises(ValueError):
         monomial_rank((1, -2))
+    # a fractional exponent is refused, not truncated to (1, 1)
+    with pytest.raises(ValueError, match="integers"):
+        monomial_rank((1.9, 1))
 
 
 def test_instance_validation():
